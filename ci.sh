@@ -25,6 +25,10 @@ cargo test -q -p argo-check --features race
 echo "==> cargo build --release"
 cargo build --workspace --release
 
+echo "==> perfbench build (the benchmark package must keep compiling against the crates' API)"
+CARGO_TARGET_DIR="${PERFBENCH_TARGET_DIR:-.bench_build}" \
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd must not lose to the tier below)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 

@@ -132,6 +132,15 @@ const RACECHECK_MARKS: &[&str] = &["racecheck::region", "racecheck::write", "rac
 /// `sample_into` reuses the arena under it.
 const VIEW_ESCAPES: &[&str] = &[".as_ptr()", ".as_mut_ptr()"];
 
+/// The double-copy gather: `Features::gather` materializes the rows once,
+/// and `.data().to_vec()` copies them a second time into a `Vec<f32>` for a
+/// `Matrix`. `Features::gather_rows` writes the rows once, exact-size.
+const GATHER_CALL: &str = ".gather(";
+const GATHER_RECOPY: &str = ".data().to_vec()";
+
+/// How many lines a formatted method chain may span after `.gather(`.
+const CHAIN_LOOKAHEAD: usize = 3;
+
 /// True for files that are test/bench/example code wholesale.
 pub fn is_test_path(path: &str) -> bool {
     path.contains("/tests/")
@@ -182,6 +191,7 @@ pub fn check_file(file: &SourceFile, allow: &mut AllowTracker, out: &mut Vec<Dia
         check_span_pairing(file, allow, out);
         check_window_racecheck(file, allow, out);
         check_simd_isolation(file, allow, out);
+        check_single_copy_gather(file, allow, out);
     }
 }
 
@@ -595,6 +605,56 @@ fn check_borrowed_batch(file: &SourceFile, allow: &mut AllowTracker, out: &mut V
     }
 }
 
+/// Rule `single-copy-gather`: in non-test, non-bench crate code, a
+/// `.gather(` whose statement continues with `.data().to_vec()` copies the
+/// gathered rows twice on the memory-bound path (the paper's Figure 2
+/// `index_select`). The statement is followed across rustfmt's chain
+/// breaks for up to [`CHAIN_LOOKAHEAD`] lines, stopping at its `;`.
+fn check_single_copy_gather(
+    file: &SourceFile,
+    allow: &mut AllowTracker,
+    out: &mut Vec<Diagnostic>,
+) {
+    if !file.path.starts_with("crates/") || file.path.starts_with("crates/bench/") {
+        return;
+    }
+    for (n, line) in file.numbered() {
+        if line.test {
+            continue;
+        }
+        let Some(at) = line.code.find(GATHER_CALL) else {
+            continue;
+        };
+        let mut stmt = line.code[at..].to_string();
+        for next in file.lines.iter().skip(n).take(CHAIN_LOOKAHEAD) {
+            if stmt.contains(';') {
+                break;
+            }
+            stmt.push_str(&next.code);
+        }
+        let stmt: String = stmt
+            .split(';')
+            .next()
+            .unwrap_or_default()
+            .chars()
+            .filter(|c| !c.is_whitespace())
+            .collect();
+        if stmt.contains(GATHER_RECOPY)
+            && !allow.permits("single-copy-gather", &file.path, &line.raw)
+        {
+            out.push(Diagnostic {
+                path: file.path.clone(),
+                line: n,
+                rule: "single-copy-gather",
+                message: "`.gather(..)` followed by `.data().to_vec()` copies every feature row \
+                          twice; use `Features::gather_rows`, which writes each row once into \
+                          an exact-size `Vec<f32>`"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,6 +953,48 @@ mod tests {
                    \x20   fn t(v: &[u32]) { let p = v.as_ptr(); }\n\
                    }\n";
         assert!(lint("crates/nn/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn double_copy_gather_is_flagged() {
+        let d = lint(
+            "crates/sample/src/x.rs",
+            "fn f() { let v = feats.gather(ids).data().to_vec(); }\n",
+        );
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "single-copy-gather");
+        // A chain rustfmt broke over several lines is still one statement.
+        let src = "fn f() {\n\
+                   \x20   let v = feats\n\
+                   \x20       .gather(ids)\n\
+                   \x20       .data()\n\
+                   \x20       .to_vec();\n\
+                   }\n";
+        let d = lint("crates/serve/src/x.rs", src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 3);
+    }
+
+    #[test]
+    fn single_copy_gather_and_exempt_paths_pass() {
+        // The one-copy spelling, and a separate statement's `.to_vec()`.
+        assert!(lint(
+            "crates/sample/src/x.rs",
+            "fn f() { let v = feats.gather_rows(ids); }\n"
+        )
+        .is_empty());
+        let src = "fn f() {\n\
+                   \x20   let g = feats.gather(ids);\n\
+                   \x20   let v = other.data().to_vec();\n\
+                   }\n";
+        assert!(lint("crates/sample/src/x.rs", src).is_empty());
+        // Tests, benches and code outside `crates/` are out of scope.
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { f.gather(i).data().to_vec(); }\n}\n";
+        assert!(lint("crates/nn/src/x.rs", src).is_empty());
+        let src = "fn f() { f.gather(i).data().to_vec(); }\n";
+        assert!(lint("crates/bench/src/x.rs", src).is_empty());
+        assert!(lint("crates/bench/benches/x.rs", src).is_empty());
+        assert!(lint("perfbench/src/x.rs", src).is_empty());
     }
 
     #[test]

@@ -4,11 +4,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use argo_graph::partition::random_partition;
-use argo_graph::{Dataset, Features};
+use argo_graph::Dataset;
 use argo_nn::{AnyModel, AnyOptimizer, Arch, LrSchedule, Optimizer, OptimizerKind};
 use argo_rt::affinity::CoreSet;
 use argo_rt::metrics::{Counter, Histogram, MetricsRegistry};
-use argo_rt::spans::{critical_path, Role, SpanKind, SpanProfiler};
+use argo_rt::spans::{critical_path, Role, SpanKind, SpanProfiler, SpanRecord};
 use argo_rt::telemetry::names;
 use argo_rt::{
     AllReduce, BytesRecord, CacheSummaryRecord, Config, CoreBinder, EpochRecord, RunEvent,
@@ -271,9 +271,6 @@ pub struct Engine {
     /// Cross-batch feature cache, persistent across epochs so reuse
     /// compounds; rebuilt only when the effective capacity changes.
     cache: Option<Arc<FeatureCache>>,
-    /// Shared handle to the node features for loader-side pre-gathering
-    /// (built lazily the first time the cache is enabled).
-    features_arc: Option<Arc<Features>>,
 }
 
 impl Engine {
@@ -307,7 +304,6 @@ impl Engine {
             epoch: 0,
             seeds,
             cache: None,
-            features_arc: None,
         }
     }
 
@@ -362,10 +358,11 @@ impl Engine {
     /// `telemetry.logger`. Pass `None` for zero instrumentation overhead
     /// (trace-only callers can use [`Telemetry::with_trace`]).
     pub fn train_epoch(&mut self, config: Config, telemetry: Option<&Telemetry>) -> EpochStats {
-        match telemetry {
+        let (stats, _spans) = match telemetry {
             Some(t) => self.train_epoch_impl(config, &t.trace, Some(&t.metrics), Some(&t.logger)),
             None => self.train_epoch_impl(config, &TraceRecorder::disabled(), None, None),
-        }
+        };
+        stats
     }
 
     /// The feature cache for this epoch's effective capacity
@@ -392,26 +389,15 @@ impl Engine {
         }
     }
 
-    /// Shared features handle for loader-side pre-gathering (one clone of
-    /// the feature matrix, amortized over the whole run).
-    fn features_arc(&mut self) -> Arc<Features> {
-        match &self.features_arc {
-            Some(f) => Arc::clone(f),
-            None => {
-                let f = Arc::new(self.dataset.features.clone());
-                self.features_arc = Some(Arc::clone(&f));
-                f
-            }
-        }
-    }
-
+    /// [`Engine::train_epoch`], also returning the epoch's drained profiler
+    /// spans (empty unless `logger` is enabled).
     fn train_epoch_impl(
         &mut self,
         config: Config,
         trace: &TraceRecorder,
         metrics: Option<&MetricsRegistry>,
         logger: Option<&RunLogger>,
-    ) -> EpochStats {
+    ) -> (EpochStats, Vec<SpanRecord>) {
         let n_proc = config.n_proc;
         let binder = CoreBinder::new(self.opts.total_cores.max(config.total_cores()));
         let plan = binder
@@ -435,7 +421,6 @@ impl Engine {
         // Cross-batch feature cache (tentpole): shared by all processes so
         // neighborhoods re-gathered anywhere hit everywhere.
         let cache = self.cache_for(config);
-        let features = cache.as_ref().map(|_| self.features_arc());
         let cache_snapshot = cache.as_ref().map(|c| c.stats());
 
         let stage_metrics = metrics.filter(|m| m.is_enabled()).map(StageMetrics::new);
@@ -493,7 +478,6 @@ impl Engine {
                     sampling_cores: binding.sampling,
                     training_cores: binding.training,
                     allreduce,
-                    features: features.clone(),
                     cache: cache.clone(),
                     stage_metrics,
                     spans: Arc::clone(&spans),
@@ -648,7 +632,7 @@ impl Engine {
                 },
             });
         }
-        stats
+        (stats, drained.records)
     }
 }
 
@@ -671,9 +655,7 @@ struct ProcessSpec {
     sampling_cores: CoreSet,
     training_cores: CoreSet,
     allreduce: Arc<AllReduce>,
-    /// Feature table handle for loader-side pre-gather; `Some` iff the
-    /// cross-batch cache is enabled for this epoch.
-    features: Option<Arc<Features>>,
+    /// Cross-batch feature cache the loader gathers through, when enabled.
     cache: Option<Arc<FeatureCache>>,
     stage_metrics: Option<StageMetrics>,
     /// Causal span profiler shared by every process of this epoch (a
@@ -696,7 +678,6 @@ fn run_process(spec: ProcessSpec, trace: &TraceRecorder) -> ProcessResult {
         sampling_cores,
         training_cores,
         allreduce,
-        features,
         cache,
         stage_metrics,
         spans,
@@ -718,17 +699,25 @@ fn run_process(spec: ProcessSpec, trace: &TraceRecorder) -> ProcessResult {
 
     let n_samp = sampling_cores.len();
     let graph = Arc::new(dataset.graph.clone());
-    let mut loader_spec = LoaderSpec::builder(graph, Arc::clone(&sampler), Arc::clone(&seeds_part))
-        .batch_size(local_batch)
-        .epoch(epoch)
-        .epoch_seeds(proc_seeds)
-        .n_samp(n_samp)
-        .cores(sampling_cores)
-        .prefetch(opts.prefetch)
-        .normalization(opts.kind.normalization())
-        .spans(Arc::clone(&spans));
-    if let (Some(f), Some(c)) = (&features, &cache) {
-        loader_spec = loader_spec.features(Arc::clone(f)).cache(Arc::clone(c));
+    // The loader pre-gathers every batch's input rows on the sampling cores
+    // from the shared feature table; the cache, when on, only changes where
+    // those rows come from.
+    let mut loader_spec = LoaderSpec::builder(
+        graph,
+        Arc::clone(&dataset.features),
+        Arc::clone(&sampler),
+        Arc::clone(&seeds_part),
+    )
+    .batch_size(local_batch)
+    .epoch(epoch)
+    .epoch_seeds(proc_seeds)
+    .n_samp(n_samp)
+    .cores(sampling_cores)
+    .prefetch(opts.prefetch)
+    .normalization(opts.kind.normalization())
+    .spans(Arc::clone(&spans));
+    if let Some(c) = &cache {
+        loader_spec = loader_spec.cache(Arc::clone(c));
     }
     let loader = loader_spec.start();
     // Consumer-side span ring: compute/sync spans here chain (by batch id)
@@ -768,47 +757,18 @@ fn run_process(spec: ProcessSpec, trace: &TraceRecorder) -> ProcessResult {
             metadata_bytes: batch_metadata_bytes,
             ..
         } = loaded;
-        let stats = match input {
-            Some(input) => {
-                // The loader already gathered the input rows (through the
-                // cross-batch cache); attribute that measured time to the
-                // Gather stage instead of re-touching the feature table.
-                if trace.is_enabled() || sm.is_some() {
-                    let g0 = trace.now();
-                    observe(Stage::Gather, g0, g0 + gather_seconds);
-                }
-                let c0 = trace.now();
-                let sp = ring.span_begin(SpanKind::Compute, i as u64);
-                let stats =
-                    model.train_step_gathered(&batch, input, &dataset.labels, train_pool.as_ref());
-                ring.span_end(sp);
-                observe(Stage::Compute, c0, trace.now());
-                stats
-            }
-            None => {
-                if trace.is_enabled() || sm.is_some() {
-                    // Instrument the bandwidth-bound feature gather separately
-                    // (Figure 2's `aten::index_select`); the gather inside
-                    // `train_step` is what actually feeds the model.
-                    let g0 = trace.now();
-                    let gsp = ring.span_begin(SpanKind::Gather, i as u64);
-                    std::hint::black_box(dataset.features.gather(batch.input_nodes()));
-                    ring.span_end(gsp);
-                    observe(Stage::Gather, g0, trace.now());
-                }
-                let c0 = trace.now();
-                let sp = ring.span_begin(SpanKind::Compute, i as u64);
-                let stats = model.train_step(
-                    &batch,
-                    &dataset.features,
-                    &dataset.labels,
-                    train_pool.as_ref(),
-                );
-                ring.span_end(sp);
-                observe(Stage::Compute, c0, trace.now());
-                stats
-            }
-        };
+        // The loader already gathered the input rows (Figure 2's
+        // `index_select`) on the sampling side; attribute that measured time
+        // to the Gather stage instead of re-touching the feature table.
+        if trace.is_enabled() || sm.is_some() {
+            let g0 = trace.now();
+            observe(Stage::Gather, g0, g0 + gather_seconds);
+        }
+        let c0 = trace.now();
+        let sp = ring.span_begin(SpanKind::Compute, i as u64);
+        let stats = model.train_step_gathered(&batch, input, &dataset.labels, train_pool.as_ref());
+        ring.span_end(sp);
+        observe(Stage::Compute, c0, trace.now());
         edges += batch.total_edges(opts.num_layers);
         // Measured on the arena-resident view by the loader worker: node
         // ids, degrees, u32 row pointers, column indices and fused values —
@@ -920,6 +880,35 @@ mod tests {
         );
         // Total seeds consumed per iteration is the same.
         assert_eq!(s4.minibatches, s4.iterations * 4);
+    }
+
+    #[test]
+    fn uncached_epoch_gathers_on_the_sampling_side() {
+        // With the feature cache off the loader still pre-gathers: every
+        // Gather span is a producer's, the consumer never touches the
+        // feature table, and the sampler-thread count cannot move the
+        // parameters by a single bit.
+        let run = |n_samp: usize| {
+            let mut e = Engine::new(tiny(), neighbor(), opts(64));
+            let logger = RunLogger::new();
+            let (stats, spans) = e.train_epoch_impl(
+                Config::new(2, n_samp, 1),
+                &TraceRecorder::disabled(),
+                None,
+                Some(&logger),
+            );
+            let gathers = |role: Role| {
+                spans
+                    .iter()
+                    .filter(|r| r.role == role && r.kind == SpanKind::Gather)
+                    .count()
+            };
+            assert_eq!(gathers(Role::Producer), stats.minibatches);
+            assert_eq!(gathers(Role::Consumer), 0);
+            assert!(spans.iter().all(|r| r.kind != SpanKind::Cache));
+            e.params().iter().map(|p| p.to_bits()).collect::<Vec<u32>>()
+        };
+        assert_eq!(run(1), run(2));
     }
 
     #[test]

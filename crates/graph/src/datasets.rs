@@ -11,6 +11,8 @@
 //!    scaled-down power-law graph with planted community labels matching the
 //!    spec's average degree and feature/class dimensions.
 
+use std::sync::Arc;
+
 use crate::csr::Graph;
 use crate::features::{community_features, Features};
 use crate::generators::planted_communities;
@@ -114,7 +116,7 @@ impl DatasetSpec {
         Dataset {
             spec: *self,
             graph,
-            features,
+            features: Arc::new(features),
             labels,
             train_nodes: train,
             val_nodes: val,
@@ -130,8 +132,9 @@ pub struct Dataset {
     pub spec: DatasetSpec,
     /// Graph topology (undirected, CSR).
     pub graph: Graph,
-    /// Node features (`num_nodes x feat_dim`).
-    pub features: Features,
+    /// Node features (`num_nodes x feat_dim`), shared read-only by every
+    /// loader worker, rank and serving session that gathers from them.
+    pub features: Arc<Features>,
     /// Node class labels.
     pub labels: Vec<u32>,
     /// Training target nodes.

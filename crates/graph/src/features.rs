@@ -59,11 +59,18 @@ impl Features {
     /// operation the paper identifies as the memory-bandwidth-bound phase of
     /// GNN training, Figure 2).
     pub fn gather(&self, ids: &[NodeId]) -> Features {
+        Features::new(self.gather_rows(ids), self.dim)
+    }
+
+    /// [`Features::gather`] as raw row-major data: each row is written once
+    /// into an exact-size `ids.len() x dim` buffer, ready to become a
+    /// `Matrix` without a second copy.
+    pub fn gather_rows(&self, ids: &[NodeId]) -> Vec<f32> {
         let mut out = Vec::with_capacity(ids.len() * self.dim);
         for &v in ids {
             out.extend_from_slice(self.row(v));
         }
-        Features::new(out, self.dim)
+        out
     }
 
     /// Copies node `v`'s feature row into `out` without allocating.
@@ -148,6 +155,15 @@ mod tests {
         let g = f.gather(&[2, 0]);
         assert_eq!(g.row(0), &[8.0, 9.0, 10.0, 11.0]);
         assert_eq!(g.row(1), &[0.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn gather_rows_is_exact_size_and_matches_gather() {
+        let f = Features::new((0..12).map(|x| x as f32).collect(), 4);
+        let ids = [2u32, 0, 2];
+        let rows = f.gather_rows(&ids);
+        assert_eq!(rows.capacity(), ids.len() * 4);
+        assert_eq!(rows, f.gather(&ids).data());
     }
 
     #[test]

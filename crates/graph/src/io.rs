@@ -7,6 +7,7 @@
 //! straight dump of the CSR arrays and feature/label tables.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use crate::csr::Graph;
 use crate::datasets::{Dataset, DatasetSpec};
@@ -187,7 +188,7 @@ pub fn read_dataset(r: &mut impl Read) -> io::Result<Dataset> {
     Ok(Dataset {
         spec,
         graph,
-        features,
+        features: Arc::new(features),
         labels,
         train_nodes,
         val_nodes,

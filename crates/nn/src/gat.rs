@@ -24,7 +24,7 @@ use argo_tensor::ops::{
 };
 use argo_tensor::{DispatchPolicy, Matrix, SparseMatrix};
 
-use crate::model::StepStats;
+use crate::model::{gather_features, StepStats};
 
 /// LeakyReLU slope used for attention logits (the GAT paper's 0.2).
 const ATTN_SLOPE: f32 = 0.2;
@@ -257,7 +257,7 @@ impl Gat {
         feats: &Features,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        self.forward_gathered(batch, gather(feats, batch.input_nodes()), pool)
+        self.forward_gathered(batch, gather_features(feats, batch.input_nodes()), pool)
     }
 
     /// [`Gat::forward`] with the input-node feature rows already gathered
@@ -290,7 +290,7 @@ impl Gat {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let input = gather(feats, batch.input_nodes());
+        let input = gather_features(feats, batch.input_nodes());
         self.train_step_gathered(batch, input, labels, pool)
     }
 
@@ -473,11 +473,6 @@ impl Gat {
     }
 }
 
-fn gather(feats: &Features, ids: &[u32]) -> Matrix {
-    let g = feats.gather(ids);
-    Matrix::from_vec(ids.len(), feats.dim(), g.data().to_vec())
-}
-
 fn slice_cols(m: &Matrix, start: usize, len: usize) -> Matrix {
     let mut out = Matrix::zeros(m.rows(), len);
     for r in 0..m.rows() {
@@ -578,7 +573,7 @@ mod tests {
         };
         let block = &mb.blocks[0];
         // Recompute a head's α through the public kernels.
-        let x = gather(&d.features, &block.src_nodes);
+        let x = gather_features(&d.features, &block.src_nodes);
         let z = x.matmul(&gat.layers[0].w);
         let zc = slice_cols(&z, 0, gat.layers[0].out_dim);
         let n_dst = block.dst_nodes.len();

@@ -278,14 +278,15 @@ impl Gnn {
     ) -> Matrix {
         let adjs = self.layer_adjs(batch);
         let h = self.forward_core(&adjs, input, pool);
-        match batch {
-            SampledBatch::Blocks(_) => h,
-            SampledBatch::Subgraph(sb) => {
-                let logits = select_rows(&h, &sb.seed_positions);
-                self.ws.borrow_mut().put(h);
-                logits
-            }
-        }
+        // Copy the seed rows out and recycle `h`: it is a best-fit workspace
+        // buffer, often far larger than the logits, and callers such as the
+        // serving result cache may keep the logits alive indefinitely.
+        let logits = match batch {
+            SampledBatch::Blocks(_) => select_prefix_rows(&h, batch.num_seeds()),
+            SampledBatch::Subgraph(sb) => select_rows(&h, &sb.seed_positions),
+        };
+        self.ws.borrow_mut().put(h);
+        logits
     }
 
     /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
@@ -302,15 +303,12 @@ impl Gnn {
         match layer_adjs_view_for(self.kind, self.layers.len(), batch) {
             Some(adjs) => {
                 let h = self.forward_core(&adjs, input, pool);
-                match batch {
-                    SampledBatchView::Blocks(_) => h,
-                    SampledBatchView::Subgraph(_) => {
-                        // Subgraph-view seeds are the node-list prefix.
-                        let logits = select_prefix_rows(&h, batch.num_seeds());
-                        self.ws.borrow_mut().put(h);
-                        logits
-                    }
-                }
+                // Seeds are the prefix of a view's output rows (a block
+                // batch's final rows are exactly its seeds); copy them out
+                // and recycle the workspace buffer.
+                let logits = select_prefix_rows(&h, batch.num_seeds());
+                self.ws.borrow_mut().put(h);
+                logits
             }
             None => self.forward_gathered(&batch.to_owned(), input, pool),
         }
@@ -646,8 +644,7 @@ pub(crate) fn layer_adjs_view_for<'a>(
 }
 
 pub(crate) fn gather_features(feats: &Features, ids: &[u32]) -> Matrix {
-    let g = feats.gather(ids);
-    Matrix::from_vec(ids.len(), feats.dim(), g.data().to_vec())
+    Matrix::from_vec(ids.len(), feats.dim(), feats.gather_rows(ids))
 }
 
 pub(crate) fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
@@ -675,7 +672,7 @@ fn scatter_rows(m: &Matrix, rows: &[usize], total: usize) -> Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use argo_graph::datasets::FLICKR;
     use argo_sample::{NeighborSampler, Sampler, ShadowSampler};
@@ -700,6 +697,46 @@ mod tests {
         let logits = model.forward(&batch, &d.features, None);
         assert_eq!(logits.rows(), 8);
         assert_eq!(logits.cols(), d.num_classes);
+    }
+
+    /// Parks large buffers in a forward workspace so every best-fit take
+    /// lands on one of them.
+    pub(crate) fn park_large_buffers(ws: &RefCell<Workspace>) {
+        for _ in 0..8 {
+            ws.borrow_mut().put(Matrix::zeros(4096, 64));
+        }
+    }
+
+    /// A Neighbor view batch over `seeds`, normalized for `kind`.
+    pub(crate) fn sample_view<'a>(
+        d: &argo_graph::Dataset,
+        kind: GnnKind,
+        seeds: &[u32],
+        scratch: &'a mut argo_sample::SamplerScratch,
+    ) -> SampledBatchView<'a> {
+        let run = argo_sample::SampleRun::new(argo_rt::SeedSequence::new(3), scratch)
+            .with_norm(wanted_norm_for(kind));
+        NeighborSampler::new(vec![5, 5]).sample_into(&d.graph, seeds, run)
+    }
+
+    #[test]
+    fn logits_own_exact_size_buffers() {
+        // Serving keeps logits alive in its result cache, so a forward pass
+        // must copy the seed rows out instead of returning a (possibly far
+        // larger) recycled workspace buffer.
+        let d = tiny_dataset();
+        let model = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 1);
+        let seeds: Vec<u32> = d.train_nodes.iter().copied().take(8).collect();
+        let want = seeds.len() * d.num_classes;
+        park_large_buffers(&model.ws);
+        let logits = model.forward(&sample_blocks(&d, 8, 2), &d.features, None);
+        assert_eq!(logits.into_data().capacity(), want);
+        park_large_buffers(&model.ws);
+        let mut scratch = argo_sample::SamplerScratch::new();
+        let view = sample_view(&d, GnnKind::Sage, &seeds, &mut scratch);
+        let input = gather_features(&d.features, view.input_nodes());
+        let logits = model.forward_gathered_view(&view, input, None);
+        assert_eq!(logits.into_data().capacity(), want);
     }
 
     #[test]

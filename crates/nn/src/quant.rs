@@ -114,14 +114,15 @@ impl QuantizedGnn {
     ) -> Matrix {
         let adjs = layer_adjs_for(self.kind, self.layers.len(), batch);
         let h = self.forward_core(&adjs, input, pool);
-        match batch {
-            SampledBatch::Blocks(_) => h,
-            SampledBatch::Subgraph(sb) => {
-                let logits = select_rows(&h, &sb.seed_positions);
-                self.ws.borrow_mut().put(h);
-                logits
-            }
-        }
+        // Copy the seed rows out and recycle `h`: it is a best-fit workspace
+        // buffer, often far larger than the logits, and callers such as the
+        // serving result cache may keep the logits alive indefinitely.
+        let logits = match batch {
+            SampledBatch::Blocks(_) => select_prefix_rows(&h, batch.num_seeds()),
+            SampledBatch::Subgraph(sb) => select_rows(&h, &sb.seed_positions),
+        };
+        self.ws.borrow_mut().put(h);
+        logits
     }
 
     /// [`QuantizedGnn::forward_gathered`] over a borrowed
@@ -137,15 +138,12 @@ impl QuantizedGnn {
         match layer_adjs_view_for(self.kind, self.layers.len(), batch) {
             Some(adjs) => {
                 let h = self.forward_core(&adjs, input, pool);
-                match batch {
-                    SampledBatchView::Blocks(_) => h,
-                    SampledBatchView::Subgraph(_) => {
-                        // Subgraph-view seeds are the node-list prefix.
-                        let logits = select_prefix_rows(&h, batch.num_seeds());
-                        self.ws.borrow_mut().put(h);
-                        logits
-                    }
-                }
+                // Seeds are the prefix of a view's output rows (a block
+                // batch's final rows are exactly its seeds); copy them out
+                // and recycle the workspace buffer.
+                let logits = select_prefix_rows(&h, batch.num_seeds());
+                self.ws.borrow_mut().put(h);
+                logits
             }
             None => self.forward_gathered(&batch.to_owned(), input, pool),
         }
@@ -230,6 +228,26 @@ mod tests {
             .filter(|&r| argmax(q, r) == argmax(f, r))
             .count();
         same as f64 / q.rows() as f64
+    }
+
+    #[test]
+    fn quantized_logits_own_exact_size_buffers() {
+        // Same contract as `Gnn`: the logits never pin a workspace buffer.
+        use crate::model::tests::{park_large_buffers, sample_view};
+        let d = tiny_dataset();
+        let qm = Gnn::new(GnnKind::Sage, d.feat_dim(), 16, d.num_classes, 2, 1)
+            .quantize(QuantKind::Int8);
+        let seeds: Vec<u32> = d.train_nodes.iter().copied().take(8).collect();
+        let want = seeds.len() * d.num_classes;
+        park_large_buffers(&qm.ws);
+        let logits = qm.forward(&sample_blocks(&d, 8, 2), &d.features, None);
+        assert_eq!(logits.into_data().capacity(), want);
+        park_large_buffers(&qm.ws);
+        let mut scratch = argo_sample::SamplerScratch::new();
+        let view = sample_view(&d, GnnKind::Sage, &seeds, &mut scratch);
+        let input = gather_features(&d.features, view.input_nodes());
+        let logits = qm.forward_gathered_view(&view, input, None);
+        assert_eq!(logits.into_data().capacity(), want);
     }
 
     #[test]

@@ -130,4 +130,12 @@ pub trait Sampler: Send + Sync {
 
     /// Number of GNN layers this sampler prepares batches for.
     fn num_layers(&self) -> usize;
+
+    /// Whether a batch's seed list must be duplicate-free. The induced
+    /// samplers (ShaDow, SAINT, Cluster) key their node table by seed and
+    /// assert on a repeat, so callers taking untrusted seed lists must
+    /// reject repeats first.
+    fn requires_distinct_seeds(&self) -> bool {
+        true
+    }
 }

@@ -9,10 +9,10 @@
 //! is always drawn from RNG seed `seed_for(e, i)` regardless of which worker
 //! produced it, so pipelining never perturbs training semantics.
 //!
-//! When the [`LoaderSpec`] carries the node features, workers also
-//! *pre-gather* each batch's input rows — optionally through a shared
-//! [`FeatureCache`] — so the memory-bound gather runs on the sampling cores,
-//! overlapped with training, instead of on the training cores.
+//! Workers also *pre-gather* every batch's input rows from the shared
+//! feature table — through a [`FeatureCache`] when one is attached — so the
+//! memory-bound gather always runs on the sampling cores, overlapped with
+//! training, instead of on the training cores.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,6 +37,9 @@ use crate::{SampleRun, Sampler};
 pub struct LoaderSpec {
     /// The (shared) graph to sample from.
     pub graph: Arc<Graph>,
+    /// The (shared) node-feature table; workers pre-gather each batch's
+    /// input rows from it into [`LoadedBatch::input`].
+    pub features: Arc<Features>,
     /// Sampling algorithm.
     pub sampler: Arc<dyn Sampler>,
     /// This process's training targets (already partitioned).
@@ -55,11 +58,8 @@ pub struct LoaderSpec {
     pub cores: CoreSet,
     /// Channel capacity (bounds memory).
     pub prefetch: usize,
-    /// Node features; when present, workers pre-gather each batch's input
-    /// rows into [`LoadedBatch::input`].
-    pub features: Option<Arc<Features>>,
-    /// Shared cross-batch feature cache consulted before
-    /// [`Features::gather`]. Ignored unless `features` is set.
+    /// Shared cross-batch feature cache consulted before the feature
+    /// table; it changes only where rows come from, never their values.
     pub cache: Option<Arc<FeatureCache>>,
     /// Fused normalization the samplers write into each batch's adjacency
     /// values during construction (no post-pass on the training side).
@@ -77,17 +77,19 @@ pub struct LoaderSpec {
 }
 
 impl LoaderSpec {
-    /// A builder seeded with the three mandatory handles; everything else
+    /// A builder seeded with the four mandatory handles; everything else
     /// defaults (`batch_size` 1, `epoch` 0, one worker, unbound, prefetch 4,
-    /// no pre-gather).
+    /// no cache).
     pub fn builder(
         graph: Arc<Graph>,
+        features: Arc<Features>,
         sampler: Arc<dyn Sampler>,
         seeds: Arc<Vec<NodeId>>,
     ) -> LoaderSpecBuilder {
         LoaderSpecBuilder {
             spec: LoaderSpec {
                 graph,
+                features,
                 sampler,
                 seeds,
                 batch_size: 1,
@@ -96,7 +98,6 @@ impl LoaderSpec {
                 n_samp: 1,
                 cores: CoreSet::default(),
                 prefetch: 4,
-                features: None,
                 cache: None,
                 normalization: Normalization::None,
                 samp_pool: 1,
@@ -148,12 +149,6 @@ impl LoaderSpecBuilder {
         self
     }
 
-    /// Enables worker-side feature pre-gathering.
-    pub fn features(mut self, features: Arc<Features>) -> Self {
-        self.spec.features = Some(features);
-        self
-    }
-
     /// Routes pre-gathering through a shared cross-batch cache.
     pub fn cache(mut self, cache: Arc<FeatureCache>) -> Self {
         self.spec.cache = Some(cache);
@@ -189,15 +184,14 @@ impl LoaderSpecBuilder {
     }
 }
 
-/// One sampled (and possibly pre-gathered) mini-batch.
+/// One sampled and pre-gathered mini-batch.
 pub struct LoadedBatch {
     /// The sampled computation structure.
     pub batch: SampledBatch,
-    /// Input-node feature rows, pre-gathered on the sampling side. `None`
-    /// when the spec carried no features.
-    pub input: Option<Matrix>,
-    /// Wall-clock seconds the worker spent gathering `input` (0 when no
-    /// pre-gather happened).
+    /// Input-node feature rows in `batch.input_nodes()` order, gathered on
+    /// the sampling side.
+    pub input: Matrix,
+    /// Wall-clock seconds the worker spent gathering `input`.
     pub gather_seconds: f64,
     /// Scratch-arena allocations this batch charged to the producing
     /// worker's [`SamplerScratch`] (0 once the arena is warm).
@@ -248,6 +242,7 @@ impl PipelinedLoader {
     pub fn start(spec: LoaderSpec) -> Self {
         let LoaderSpec {
             graph,
+            features,
             sampler,
             seeds,
             batch_size,
@@ -256,7 +251,6 @@ impl PipelinedLoader {
             n_samp,
             cores,
             prefetch,
-            features,
             cache,
             normalization,
             samp_pool,
@@ -276,7 +270,7 @@ impl PipelinedLoader {
             let sampler = Arc::clone(&sampler);
             let seeds = Arc::clone(&seeds);
             let cursor = Arc::clone(&cursor);
-            let features = features.clone();
+            let features = Arc::clone(&features);
             let cache = cache.clone();
             let tx = tx.clone();
             let ring = match &spans {
@@ -329,26 +323,21 @@ impl PipelinedLoader {
                             let batch = view.to_owned();
                             ring.span_end(pick);
                             let scratch_allocs = scratch.allocs() - allocs_before;
-                            let (input, gather_seconds) = match &features {
-                                Some(f) => {
-                                    let t0 = Instant::now();
-                                    let ids = batch.input_nodes();
-                                    let kind = if cache.is_some() {
-                                        SpanKind::Cache
-                                    } else {
-                                        SpanKind::Gather
-                                    };
-                                    let span = ring.span_begin(kind, i as u64);
-                                    let rows = match &cache {
-                                        Some(c) => c.gather_rows(f, ids),
-                                        None => f.gather(ids).data().to_vec(),
-                                    };
-                                    let m = Matrix::from_vec(ids.len(), f.dim(), rows);
-                                    ring.span_end(span);
-                                    (Some(m), t0.elapsed().as_secs_f64())
-                                }
-                                None => (None, 0.0),
+                            let t0 = Instant::now();
+                            let ids = batch.input_nodes();
+                            let kind = if cache.is_some() {
+                                SpanKind::Cache
+                            } else {
+                                SpanKind::Gather
                             };
+                            let span = ring.span_begin(kind, i as u64);
+                            let rows = match &cache {
+                                Some(c) => c.gather_rows(&features, ids),
+                                None => features.gather_rows(ids),
+                            };
+                            let input = Matrix::from_vec(ids.len(), features.dim(), rows);
+                            ring.span_end(span);
+                            let gather_seconds = t0.elapsed().as_secs_f64();
                             let loaded = LoadedBatch {
                                 batch,
                                 input,
@@ -449,6 +438,13 @@ mod tests {
     use crate::neighbor::NeighborSampler;
     use argo_graph::generators::power_law;
 
+    fn features() -> Arc<Features> {
+        Arc::new(Features::new(
+            (0..500 * 4).map(|x| x as f32 * 0.01).collect(),
+            4,
+        ))
+    }
+
     fn setup() -> (Arc<Graph>, Arc<dyn Sampler>, Arc<Vec<NodeId>>) {
         let g = Arc::new(power_law(500, 5000, 0.8, 1));
         let s: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(vec![5, 3]));
@@ -459,7 +455,7 @@ mod tests {
     #[test]
     fn yields_all_batches_in_order() {
         let (g, s, seeds) = setup();
-        let loader = LoaderSpec::builder(g, s, seeds)
+        let loader = LoaderSpec::builder(g, features(), s, seeds)
             .batch_size(16)
             .epoch_seeds(SeedSequence::new(42))
             .n_samp(3)
@@ -476,16 +472,21 @@ mod tests {
         // function of (epoch_seeds, e, i).
         let (g, s, seeds) = setup();
         let run = |n_samp: usize, samp_pool: usize| -> Vec<Vec<NodeId>> {
-            LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
-                .batch_size(10)
-                .epoch(3)
-                .epoch_seeds(SeedSequence::new(7))
-                .n_samp(n_samp)
-                .samp_pool(samp_pool)
-                .prefetch(2)
-                .start()
-                .map(|(_, b)| b.batch.input_nodes().to_vec())
-                .collect()
+            LoaderSpec::builder(
+                Arc::clone(&g),
+                features(),
+                Arc::clone(&s),
+                Arc::clone(&seeds),
+            )
+            .batch_size(10)
+            .epoch(3)
+            .epoch_seeds(SeedSequence::new(7))
+            .n_samp(n_samp)
+            .samp_pool(samp_pool)
+            .prefetch(2)
+            .start()
+            .map(|(_, b)| b.batch.input_nodes().to_vec())
+            .collect()
         };
         let reference = run(1, 1);
         assert_eq!(reference, run(4, 1));
@@ -503,7 +504,7 @@ mod tests {
         let g = Arc::new(power_law(500, 5000, 0.8, 1));
         let s: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(vec![5, 3]));
         let seeds: Arc<Vec<NodeId>> = Arc::new((0..12).flat_map(|_| 0..16).collect());
-        let allocs: Vec<u64> = LoaderSpec::builder(g, s, seeds)
+        let allocs: Vec<u64> = LoaderSpec::builder(g, features(), s, seeds)
             .batch_size(16)
             .epoch_seeds(SeedSequence::new(11))
             .normalization(Normalization::Gcn)
@@ -523,7 +524,7 @@ mod tests {
     fn last_batch_is_short() {
         let (g, s, _) = setup();
         let seeds: Arc<Vec<NodeId>> = Arc::new((0..25).collect());
-        let loader = LoaderSpec::builder(g, s, seeds)
+        let loader = LoaderSpec::builder(g, features(), s, seeds)
             .batch_size(10)
             .epoch_seeds(SeedSequence::new(1))
             .n_samp(2)
@@ -536,7 +537,7 @@ mod tests {
     #[test]
     fn early_drop_does_not_hang() {
         let (g, s, seeds) = setup();
-        let mut loader = LoaderSpec::builder(g, s, seeds)
+        let mut loader = LoaderSpec::builder(g, features(), s, seeds)
             .batch_size(4)
             .epoch_seeds(SeedSequence::new(5))
             .n_samp(2)
@@ -550,15 +551,20 @@ mod tests {
     fn different_epochs_differ() {
         let (g, s, seeds) = setup();
         let collect = |epoch: u64| -> Vec<Vec<NodeId>> {
-            LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
-                .batch_size(10)
-                .epoch(epoch)
-                .epoch_seeds(SeedSequence::new(7))
-                .n_samp(2)
-                .prefetch(2)
-                .start()
-                .map(|(_, b)| b.batch.input_nodes().to_vec())
-                .collect()
+            LoaderSpec::builder(
+                Arc::clone(&g),
+                features(),
+                Arc::clone(&s),
+                Arc::clone(&seeds),
+            )
+            .batch_size(10)
+            .epoch(epoch)
+            .epoch_seeds(SeedSequence::new(7))
+            .n_samp(2)
+            .prefetch(2)
+            .start()
+            .map(|(_, b)| b.batch.input_nodes().to_vec())
+            .collect()
         };
         assert_ne!(collect(0), collect(1));
     }
@@ -568,21 +574,22 @@ mod tests {
         // With features in the spec — cached or not — every yielded batch
         // carries input rows bitwise identical to Features::gather.
         let (g, s, seeds) = setup();
-        let feats = Arc::new(Features::new(
-            (0..500 * 4).map(|x| x as f32 * 0.01).collect(),
-            4,
-        ));
+        let feats = features();
         let run = |cache: Option<Arc<FeatureCache>>| {
-            let mut b = LoaderSpec::builder(Arc::clone(&g), Arc::clone(&s), Arc::clone(&seeds))
-                .batch_size(16)
-                .epoch_seeds(SeedSequence::new(9))
-                .n_samp(3)
-                .features(Arc::clone(&feats));
+            let mut b = LoaderSpec::builder(
+                Arc::clone(&g),
+                Arc::clone(&feats),
+                Arc::clone(&s),
+                Arc::clone(&seeds),
+            )
+            .batch_size(16)
+            .epoch_seeds(SeedSequence::new(9))
+            .n_samp(3);
             if let Some(c) = cache {
                 b = b.cache(c);
             }
             for (_, lb) in b.start() {
-                let input = lb.input.expect("features requested");
+                let input = lb.input;
                 assert_eq!(input.data(), feats.gather(lb.batch.input_nodes()).data());
                 assert!(lb.gather_seconds >= 0.0);
             }
@@ -595,31 +602,13 @@ mod tests {
     }
 
     #[test]
-    fn without_features_input_is_none() {
-        let (g, s, seeds) = setup();
-        let loader = LoaderSpec::builder(g, s, seeds)
-            .batch_size(50)
-            .epoch_seeds(SeedSequence::new(2))
-            .start();
-        for (_, lb) in loader {
-            assert!(lb.input.is_none());
-            assert_eq!(lb.gather_seconds, 0.0);
-        }
-    }
-
-    #[test]
     fn profiler_records_one_span_chain_per_batch() {
         let (g, s, seeds) = setup();
-        let feats = Arc::new(Features::new(
-            (0..500 * 4).map(|x| x as f32 * 0.01).collect(),
-            4,
-        ));
         let prof = Arc::new(SpanProfiler::new());
-        let loader = LoaderSpec::builder(g, s, seeds)
+        let loader = LoaderSpec::builder(g, features(), s, seeds)
             .batch_size(16)
             .epoch_seeds(SeedSequence::new(11))
             .n_samp(2)
-            .features(feats)
             .spans(Arc::clone(&prof))
             .start();
         let n = loader.num_batches();
@@ -654,7 +643,7 @@ mod tests {
     #[test]
     fn no_profiler_records_nothing() {
         let (g, s, seeds) = setup();
-        let loader = LoaderSpec::builder(g, s, seeds)
+        let loader = LoaderSpec::builder(g, features(), s, seeds)
             .batch_size(32)
             .epoch_seeds(SeedSequence::new(3))
             .start();

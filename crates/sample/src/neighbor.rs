@@ -292,6 +292,12 @@ impl Sampler for NeighborSampler {
     fn num_layers(&self) -> usize {
         self.fanouts.len()
     }
+
+    /// Repeated seeds are tolerated: each occurrence gets its own output
+    /// row.
+    fn requires_distinct_seeds(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -251,6 +251,8 @@ pub struct ServeSession {
     batcher: MicroBatcher,
     pool: Option<ThreadPool>,
     scratch: SamplerScratch,
+    /// Reusable sort buffer for the repeated-seed admission check.
+    seed_check: Vec<NodeId>,
     feature_cache: Option<FeatureCache>,
     result_cache: Option<ResultCache>,
     profiler: SpanProfiler,
@@ -315,6 +317,7 @@ impl ServeSession {
             batcher: MicroBatcher::new(max_batch, deadline_us, queue_cap),
             pool,
             scratch: SamplerScratch::new(),
+            seed_check: Vec::new(),
             feature_cache,
             result_cache,
             profiler,
@@ -329,7 +332,9 @@ impl ServeSession {
     /// [`Submitted::completed`].
     ///
     /// Outer errors reject the *admission*: [`Error::InvalidArgument`] for
-    /// an empty seed list, [`Error::UnknownSeedNode`] for out-of-graph ids,
+    /// an empty seed list (or a repeated seed, when the sampler
+    /// [requires distinct seeds](Sampler::requires_distinct_seeds)),
+    /// [`Error::UnknownSeedNode`] for out-of-graph ids,
     /// [`Error::QueueFull`] at capacity. Per-request failures of an
     /// executed batch (e.g. [`Error::DeadlineExceeded`] sheds) come back
     /// inside `completed`.
@@ -348,6 +353,14 @@ impl ServeSession {
             if u64::from(s) >= num_nodes {
                 return Err(Error::UnknownSeedNode(format!(
                     "node {s} out of range (graph has {num_nodes} nodes)"
+                )));
+            }
+        }
+        if self.sampler.requires_distinct_seeds() {
+            if let Some(v) = repeated_seed(&seeds, &mut self.seed_check) {
+                return Err(Error::InvalidArgument(format!(
+                    "node {v} repeats in the seed list; the {} sampler needs distinct seeds",
+                    self.sampler.name()
                 )));
             }
         }
@@ -592,7 +605,7 @@ impl ServeSession {
         let ids = batch.input_nodes();
         let rows = match self.feature_cache.as_ref() {
             Some(cache) => cache.gather_rows(&self.dataset.features, ids),
-            None => self.dataset.features.gather(ids).data().to_vec(),
+            None => self.dataset.features.gather_rows(ids),
         };
         let input = Matrix::from_vec(ids.len(), self.dataset.features.dim(), rows);
         match self.quantized.as_ref() {
@@ -602,4 +615,13 @@ impl ServeSession {
                 .forward_gathered_view(&batch, input, self.pool.as_ref()),
         }
     }
+}
+
+/// The smallest node id that occurs more than once in `seeds`, found by
+/// sorting a copy in the reusable `buf` (no allocation once it is warm).
+fn repeated_seed(seeds: &[NodeId], buf: &mut Vec<NodeId>) -> Option<NodeId> {
+    buf.clear();
+    buf.extend_from_slice(seeds);
+    buf.sort_unstable();
+    buf.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }

@@ -9,7 +9,7 @@ use argo_graph::NodeId;
 use argo_nn::{AnyModel, Arch};
 use argo_rt::telemetry::names;
 use argo_rt::{RunEvent, SpanKind, Telemetry};
-use argo_sample::{NeighborSampler, Normalization, Sampler};
+use argo_sample::{NeighborSampler, Normalization, Sampler, ShadowSampler};
 use argo_serve::{FlushReason, ManualClock, ServeSession, ServeSpec};
 use proptest::prelude::*;
 
@@ -58,6 +58,34 @@ fn empty_and_unknown_seeds_are_rejected_at_admission() {
     }
     // A bad query never occupies the queue.
     assert_eq!(s.pending(), 0);
+}
+
+#[test]
+fn repeated_seed_is_rejected_at_admission_for_shadow() {
+    // ShaDow keys its induced node table by seed; a repeated seed must come
+    // back as an admission error, not a panic inside the query.
+    let d = tiny();
+    let clock = Arc::new(ManualClock::new());
+    let mut s = ServeSpec::builder(
+        Arc::clone(&d),
+        Arc::new(ShadowSampler::new(vec![4, 2], 2)),
+        AnyModel::build(Arch::Gcn, d.feat_dim(), 8, d.num_classes, 2, 5),
+    )
+    .deadline_us(0)
+    .normalization(Normalization::Gcn)
+    .clock(Arc::clone(&clock) as Arc<dyn argo_serve::Clock>)
+    .start();
+    match s.submit(vec![3, 7, 3], None) {
+        Err(Error::InvalidArgument(msg)) => {
+            assert!(msg.contains("node 3"), "diagnostic names the node: {msg}")
+        }
+        other => panic!("expected InvalidArgument, got {other:?}"),
+    }
+    assert_eq!(s.pending(), 0);
+    // The session stays usable for a well-formed query.
+    let out = s.submit(vec![3, 7], None).unwrap();
+    let r = out.completed[0].as_ref().unwrap();
+    assert_eq!(r.logits.rows(), 2);
 }
 
 #[test]

@@ -63,7 +63,7 @@ fn build_citation_graph(n: usize, k: usize, seed: u64) -> Dataset {
             f2: k,
         },
         graph,
-        features: Features::new(feats, dim),
+        features: Arc::new(Features::new(feats, dim)),
         labels,
         train_nodes: train,
         val_nodes: val,

@@ -354,8 +354,9 @@ proptest! {
         let g = Arc::new(power_law(200, 1600, 0.8, seed));
         let sampler: Arc<dyn Sampler> = Arc::new(NeighborSampler::new(vec![4, 3]));
         let seeds: Arc<Vec<NodeId>> = Arc::new((0..60).collect());
+        let feats = Arc::new(argo::graph::features::Features::zeros(200, 2));
         let collect = |n_samp: usize| -> Vec<Vec<NodeId>> {
-            LoaderSpec::builder(Arc::clone(&g), Arc::clone(&sampler), Arc::clone(&seeds))
+            LoaderSpec::builder(Arc::clone(&g), Arc::clone(&feats), Arc::clone(&sampler), Arc::clone(&seeds))
                 .batch_size(batch_size)
                 .epoch_seeds(SeedSequence::new(seed))
                 .n_samp(n_samp)
