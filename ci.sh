@@ -35,6 +35,9 @@ ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 echo "==> cargo test -q -p argo-tensor with SIMD force-disabled (scalar fallback path)"
 ARGO_SIMD=off cargo test -q -p argo-tensor
 
+echo "==> cargo test -q -p argo-nn with SIMD force-disabled (ShaDow seed block pinned on the scalar tier)"
+ARGO_SIMD=off cargo test -q -p argo-nn
+
 echo "==> micro_sampling quick perf gate (scratch sampler must not lose to the pre-scratch reference; arena assembly must not lose to legacy; span profiler overhead <= 5%)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_sampling
 

@@ -44,14 +44,31 @@ fn write_u32_slice(w: &mut impl Write, v: &[u32]) -> io::Result<()> {
     Ok(())
 }
 
-fn read_u32_vec(r: &mut impl Read) -> io::Result<Vec<u32>> {
-    let n = read_u64(r)? as usize;
-    let mut buf = vec![0u8; n * 4];
-    r.read_exact(&mut buf)?;
+/// Reads a `u64` element count, then that many `W`-byte little-endian
+/// words. The count comes from the file, so it never sizes an allocation up
+/// front: the buffer grows only as bytes arrive, and a count larger than
+/// what the stream holds is `InvalidData`, not an out-of-memory abort.
+fn read_words<const W: usize>(r: &mut impl Read) -> io::Result<Vec<[u8; W]>> {
+    let len = read_u64(r)?
+        .checked_mul(W as u64)
+        .ok_or_else(|| bad("length prefix overflows"))?;
+    let mut buf = Vec::with_capacity(len.min(1 << 20) as usize);
+    r.by_ref().take(len).read_to_end(&mut buf)?;
+    if (buf.len() as u64) < len {
+        return Err(bad("length prefix exceeds the bytes left in the stream"));
+    }
     Ok(buf
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .chunks_exact(W)
+        .map(|c| {
+            let mut w = [0u8; W];
+            w.copy_from_slice(c);
+            w
+        })
         .collect())
+}
+
+fn read_u32_vec(r: &mut impl Read) -> io::Result<Vec<u32>> {
+    Ok(read_words(r)?.into_iter().map(u32::from_le_bytes).collect())
 }
 
 fn write_f32_slice(w: &mut impl Write, v: &[f32]) -> io::Result<()> {
@@ -63,13 +80,7 @@ fn write_f32_slice(w: &mut impl Write, v: &[f32]) -> io::Result<()> {
 }
 
 fn read_f32_vec(r: &mut impl Read) -> io::Result<Vec<f32>> {
-    let n = read_u64(r)? as usize;
-    let mut buf = vec![0u8; n * 4];
-    r.read_exact(&mut buf)?;
-    Ok(buf
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
+    Ok(read_words(r)?.into_iter().map(f32::from_le_bytes).collect())
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -100,11 +111,10 @@ pub fn read_graph(r: &mut impl Read) -> io::Result<Graph> {
         return Err(bad("unsupported format version"));
     }
     let _nodes = read_u64(r)?;
-    let np = read_u64(r)? as usize;
-    let mut indptr = Vec::with_capacity(np);
-    for _ in 0..np {
-        indptr.push(read_u64(r)? as usize);
-    }
+    let indptr = read_words(r)?
+        .into_iter()
+        .map(|w| u64::from_le_bytes(w) as usize)
+        .collect();
     let indices = read_u32_vec(r)?;
     let g = Graph::from_csr_checked(indptr, indices).map_err(|e| bad(&e))?;
     Ok(g)
@@ -164,10 +174,8 @@ pub fn read_dataset(r: &mut impl Read) -> io::Result<Dataset> {
     {
         return Err(bad("split node out of range"));
     }
-    let name_len = read_u64(r)? as usize;
-    let mut name_buf = vec![0u8; name_len];
-    r.read_exact(&mut name_buf)?;
-    let name = String::from_utf8(name_buf).map_err(|_| bad("non-utf8 dataset name"))?;
+    let name = String::from_utf8(read_words::<1>(r)?.concat())
+        .map_err(|_| bad("non-utf8 dataset name"))?;
     let mut nums = [0u64; 5];
     for v in nums.iter_mut() {
         *v = read_u64(r)?;
@@ -296,6 +304,30 @@ mod tests {
         buf[off] = 0xFF;
         buf[off + 1] = 0xFF;
         assert!(read_graph(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn hostile_length_prefixes_are_errors_not_aborts() {
+        // Each length prefix, patched to 2^40 (an 8 TiB allocation if it
+        // were trusted) and to a count whose byte size overflows u64.
+        let d = FLICKR.synthesize(0.01, 3);
+        let mut buf = Vec::new();
+        write_dataset(&mut buf, &d).unwrap();
+        let indptr_len = 8 + 4 + 8;
+        let indices_len = indptr_len + 8 + 8 * d.graph.indptr().len();
+        let dim = indices_len + 8 + 4 * d.graph.indices().len();
+        let features_len = dim + 8;
+        let labels_len = features_len + 8 + 4 * d.features.data().len();
+        for at in [indptr_len, indices_len, features_len, labels_len] {
+            for n in [1u64 << 40, u64::MAX / 2] {
+                let mut bad = buf.clone();
+                bad[at..at + 8].copy_from_slice(&n.to_le_bytes());
+                let err = read_dataset(&mut bad.as_slice()).err();
+                let kind = err.map(|e| e.kind());
+                assert_eq!(kind, Some(io::ErrorKind::InvalidData), "prefix at {at}");
+            }
+        }
+        assert!(read_dataset(&mut buf.as_slice()).is_ok());
     }
 
     #[test]

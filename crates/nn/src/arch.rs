@@ -78,23 +78,10 @@ impl AnyModel {
         num_layers: usize,
         seed: u64,
     ) -> Self {
+        let gnn = |kind| AnyModel::Gnn(Gnn::new(kind, in_dim, hidden, out_dim, num_layers, seed));
         match arch {
-            Arch::Gcn => AnyModel::Gnn(Gnn::new(
-                GnnKind::Gcn,
-                in_dim,
-                hidden,
-                out_dim,
-                num_layers,
-                seed,
-            )),
-            Arch::Sage => AnyModel::Gnn(Gnn::new(
-                GnnKind::Sage,
-                in_dim,
-                hidden,
-                out_dim,
-                num_layers,
-                seed,
-            )),
+            Arch::Gcn => gnn(GnnKind::Gcn),
+            Arch::Sage => gnn(GnnKind::Sage),
             Arch::Gat { heads } => {
                 AnyModel::Gat(Gat::new(in_dim, hidden, out_dim, num_layers, heads, seed))
             }

@@ -24,7 +24,7 @@ use argo_tensor::ops::{
 };
 use argo_tensor::{DispatchPolicy, Matrix, SparseMatrix};
 
-use crate::model::{gather_features, StepStats};
+use crate::model::{gather_features, select_rows, StepStats};
 
 /// LeakyReLU slope used for attention logits (the GAT paper's 0.2).
 const ATTN_SLOPE: f32 = 0.2;
@@ -495,14 +495,6 @@ fn pad_cols(m: &Matrix, cols: usize) -> Matrix {
     let mut out = Matrix::zeros(m.rows(), cols);
     for r in 0..m.rows() {
         out.row_mut(r)[..m.cols()].copy_from_slice(m.row(r));
-    }
-    out
-}
-
-fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(rows.len(), m.cols());
-    for (i, &r) in rows.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(m.row(r));
     }
     out
 }

@@ -9,11 +9,14 @@
 //! [`Workspace`](argo_tensor::Workspace) so steady-state training steps
 //! allocate (almost) nothing.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::iter::once;
+use std::rc::Rc;
 
 use argo_graph::features::Features;
 use argo_rt::ThreadPool;
-use argo_sample::batch::{Normalization, SampledBatch};
+use argo_sample::batch::SampledBatch;
 use argo_sample::view::SampledBatchView;
 use argo_tensor::ops::{accuracy, bias_grad_into, relu_backward, softmax_cross_entropy};
 use argo_tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix, SparseView, Workspace};
@@ -67,24 +70,39 @@ pub struct StepStats {
 }
 
 /// One layer's normalized adjacency: a borrow of the pre-normalized matrix
-/// the sampler fused during block assembly, an owned matrix normalized here
-/// (legacy path for batches sampled without fusion), or a borrowed
-/// [`SparseView`] straight out of the sampler's batch arena (zero-copy
-/// inference path).
+/// the sampler fused during block assembly, a matrix built here (the seed
+/// block of a subgraph, or the legacy renormalization of a batch sampled
+/// without fusion; shared by every layer that uses it, CSC mirror
+/// included), or a borrowed [`SparseView`] straight out of the sampler's
+/// batch arena (zero-copy inference path).
+#[derive(Clone)]
 pub(crate) enum NormAdj<'a> {
     Pre(&'a SparseMatrix),
-    Owned(SparseMatrix),
+    Owned(Rc<SparseMatrix>),
     View(SparseView<'a>),
 }
 
-/// One layer's normalized adjacency plus the output-row count; uniform view
-/// over bipartite blocks and square ShaDow subgraphs.
+/// One layer's normalized adjacency plus its output rows; uniform view
+/// over bipartite blocks, square ShaDow layers and a subgraph's seed block.
+#[derive(Clone)]
 pub(crate) struct LayerAdj<'a> {
     pub(crate) adj: NormAdj<'a>,
     pub(crate) n_dst: usize,
+    /// The input rows the output rows stand for, when they are not the
+    /// prefix `0..n_dst` (a subgraph whose seeds are not its first nodes):
+    /// GraphSAGE's self path reads these rows instead.
+    dst_rows: Option<&'a [usize]>,
 }
 
-impl LayerAdj<'_> {
+impl<'a> LayerAdj<'a> {
+    fn new(adj: NormAdj<'a>, n_dst: usize) -> Self {
+        Self {
+            adj,
+            n_dst,
+            dst_rows: None,
+        }
+    }
+
     /// The owned/borrowed [`SparseMatrix`] — the backward pass needs its CSC
     /// mirror, which a borrowed arena view cannot carry.
     pub(crate) fn norm(&self) -> &SparseMatrix {
@@ -92,6 +110,15 @@ impl LayerAdj<'_> {
             NormAdj::Pre(m) => m,
             NormAdj::Owned(m) => m,
             NormAdj::View(_) => unreachable!("views are forward-only"),
+        }
+    }
+
+    /// The self-path input of GraphSAGE: `h`'s first `n_dst` rows, or a
+    /// copy of its `dst_rows`.
+    pub(crate) fn self_input<'h>(&self, h: &'h Matrix) -> Cow<'h, Matrix> {
+        match self.dst_rows {
+            Some(rows) => Cow::Owned(select_rows(h, rows)),
+            None => Cow::Borrowed(h),
         }
     }
 
@@ -205,10 +232,6 @@ impl Gnn {
             .sum()
     }
 
-    fn layer_adjs<'a>(&self, batch: &'a SampledBatch) -> Vec<LayerAdj<'a>> {
-        layer_adjs_for(self.kind, self.layers.len(), batch)
-    }
-
     /// One layer's weights and bias — the quantized-inference builder in
     /// [`crate::quant`] reads the trained parameters through this.
     pub(crate) fn layer_params(&self, l: usize) -> (&Matrix, &[f32]) {
@@ -249,9 +272,10 @@ impl Gnn {
         };
         let mask = match self.kind {
             GnnKind::Gcn => self.dispatch.gemm_into(&agg, &layer.w, epi, pool, &mut z),
-            GnnKind::Sage => self
-                .dispatch
-                .sage_gemm_into(h, &agg, &layer.w, epi, pool, &mut z),
+            GnnKind::Sage => {
+                self.dispatch
+                    .sage_gemm_into(&adj.self_input(h), &agg, &layer.w, epi, pool, &mut z)
+            }
         };
         (z, agg, mask)
     }
@@ -276,17 +300,8 @@ impl Gnn {
         input: Matrix,
         pool: Option<&ThreadPool>,
     ) -> Matrix {
-        let adjs = self.layer_adjs(batch);
-        let h = self.forward_core(&adjs, input, pool);
-        // Copy the seed rows out and recycle `h`: it is a best-fit workspace
-        // buffer, often far larger than the logits, and callers such as the
-        // serving result cache may keep the logits alive indefinitely.
-        let logits = match batch {
-            SampledBatch::Blocks(_) => select_prefix_rows(&h, batch.num_seeds()),
-            SampledBatch::Subgraph(sb) => select_rows(&h, &sb.seed_positions),
-        };
-        self.ws.borrow_mut().put(h);
-        logits
+        let adjs = layer_adjs_for(self.kind, self.layers.len(), batch);
+        self.forward_core(&adjs, input, pool)
     }
 
     /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
@@ -301,22 +316,14 @@ impl Gnn {
         pool: Option<&ThreadPool>,
     ) -> Matrix {
         match layer_adjs_view_for(self.kind, self.layers.len(), batch) {
-            Some(adjs) => {
-                let h = self.forward_core(&adjs, input, pool);
-                // Seeds are the prefix of a view's output rows (a block
-                // batch's final rows are exactly its seeds); copy them out
-                // and recycle the workspace buffer.
-                let logits = select_prefix_rows(&h, batch.num_seeds());
-                self.ws.borrow_mut().put(h);
-                logits
-            }
+            Some(adjs) => self.forward_core(&adjs, input, pool),
             None => self.forward_gathered(&batch.to_owned(), input, pool),
         }
     }
 
     /// Shared layer loop of the forward passes: runs every layer over the
-    /// prepared adjacencies and returns the final hidden matrix (all output
-    /// rows, before any seed selection).
+    /// prepared adjacencies and returns the logits (the last layer's output
+    /// rows are exactly the seeds).
     fn forward_core(&self, adjs: &[LayerAdj], input: Matrix, pool: Option<&ThreadPool>) -> Matrix {
         let mut h = input;
         for (l, adj) in adjs.iter().enumerate() {
@@ -326,7 +333,7 @@ impl Gnn {
             ws.put(agg);
             ws.put(std::mem::replace(&mut h, z));
         }
-        h
+        exact_copy_recycling(h, &self.ws)
     }
 
     /// One training step: forward, loss, full backward. Gradients are
@@ -353,7 +360,19 @@ impl Gnn {
         labels: &[u32],
         pool: Option<&ThreadPool>,
     ) -> StepStats {
-        let adjs = self.layer_adjs(batch);
+        let adjs = layer_adjs_for(self.kind, self.layers.len(), batch);
+        self.train_step_adjs(&adjs, batch.seeds(), input, labels, pool)
+    }
+
+    /// [`Gnn::train_step_gathered`] over prepared layer adjacencies.
+    fn train_step_adjs(
+        &mut self,
+        adjs: &[LayerAdj],
+        seeds: &[u32],
+        input: Matrix,
+        labels: &[u32],
+        pool: Option<&ThreadPool>,
+    ) -> StepStats {
         // Forward, caching per-layer inputs, aggregations and masks.
         let mut h = input;
         let mut caches: Vec<(Matrix, Matrix, Option<Vec<bool>>)> =
@@ -363,22 +382,10 @@ impl Gnn {
             let (z, agg, mask) = self.layer_forward(l, adj, &h, relu, pool);
             caches.push((std::mem::replace(&mut h, z), agg, mask));
         }
-        // Loss over seeds.
-        let seeds = batch.seeds();
+        // Loss over seeds: the last layer's output rows are exactly them.
         let seed_labels: Vec<u32> = seeds.iter().map(|&v| labels[v as usize]).collect();
-        let (loss, acc, mut grad) = match batch {
-            SampledBatch::Blocks(_) => {
-                let (loss, dlogits) = softmax_cross_entropy(&h, &seed_labels);
-                (loss, accuracy(&h, &seed_labels), dlogits)
-            }
-            SampledBatch::Subgraph(sb) => {
-                let logits = select_rows(&h, &sb.seed_positions);
-                let (loss, dlogits) = softmax_cross_entropy(&logits, &seed_labels);
-                // Scatter the loss gradient back to the full output rows.
-                let grad = scatter_rows(&dlogits, &sb.seed_positions, h.rows());
-                (loss, accuracy(&logits, &seed_labels), grad)
-            }
-        };
+        let (loss, mut grad) = softmax_cross_entropy(&h, &seed_labels);
+        let acc = accuracy(&h, &seed_labels);
         // Backward through the layers. Weight/bias gradients are written in
         // place into the model's persistent `dw`/`db` buffers; intermediate
         // gradient matrices cycle through the workspace.
@@ -408,7 +415,7 @@ impl Gnn {
                     // against the aggregation.
                     let f_in = self.dims[l];
                     dispatch.grad_weights_into(
-                        layer_input,
+                        &adjs[l].self_input(layer_input),
                         0..n_dst,
                         &grad,
                         pool,
@@ -452,9 +459,11 @@ impl Gnn {
                     let mut dh = ws.take(adj.norm().cols(), f_in);
                     drop(ws);
                     dispatch.aggregate_transpose_into(adj.norm(), &dmean, pool, &mut dh);
-                    // Self-path gradient lands on the first n_dst src rows.
+                    // Self-path gradient lands on the rows the outputs
+                    // stand for: the first n_dst src rows, or `dst_rows`.
                     for r in 0..adj.n_dst {
-                        for (a, b) in dh.row_mut(r).iter_mut().zip(dself.row(r)) {
+                        let src = adj.dst_rows.map_or(r, |rows| rows[r]);
+                        for (a, b) in dh.row_mut(src).iter_mut().zip(dself.row(r)) {
                             *a += b;
                         }
                     }
@@ -536,13 +545,6 @@ impl Gnn {
     }
 }
 
-fn wanted_norm_for(kind: GnnKind) -> Normalization {
-    match kind {
-        GnnKind::Gcn => Normalization::Gcn,
-        GnnKind::Sage => Normalization::Mean,
-    }
-}
-
 /// The per-layer normalized adjacencies of a batch for a `depth`-layer
 /// model of the given kind — shared by [`Gnn`] and the quantized inference
 /// model in [`crate::quant`].
@@ -551,55 +553,62 @@ pub(crate) fn layer_adjs_for(
     depth: usize,
     batch: &SampledBatch,
 ) -> Vec<LayerAdj<'_>> {
-    let want = wanted_norm_for(kind);
+    let want = crate::Arch::from(kind).normalization();
     match batch {
         SampledBatch::Blocks(mb) => {
             assert_eq!(mb.blocks.len(), depth, "batch depth != model depth");
             mb.blocks
                 .iter()
-                .map(|b| LayerAdj {
-                    adj: if b.norm == want && b.adj.values().is_some() {
+                .map(|b| {
+                    let adj = if b.norm == want && b.adj.values().is_some() {
                         // The sampler already fused this normalization
                         // into the adjacency values — consume in place.
                         NormAdj::Pre(&b.adj)
                     } else {
-                        NormAdj::Owned(match kind {
+                        NormAdj::Owned(Rc::new(match kind {
                             GnnKind::Gcn => b.gcn_normalized(),
                             GnnKind::Sage => b.mean_normalized(),
-                        })
-                    },
-                    n_dst: b.dst_nodes.len(),
+                        }))
+                    };
+                    LayerAdj::new(adj, b.dst_nodes.len())
                 })
                 .collect()
         }
         SampledBatch::Subgraph(sb) => {
-            if sb.norm == want && sb.adj.values().is_some() {
-                // Every layer (and the backward pass) borrows the one
-                // pre-normalized matrix; its CSC mirror is shared too.
-                sb.adj.csc();
-                return (0..depth)
-                    .map(|_| LayerAdj {
-                        adj: NormAdj::Pre(&sb.adj),
-                        n_dst: sb.nodes.len(),
-                    })
-                    .collect();
-            }
-            let norm = match kind {
-                GnnKind::Gcn => sb.gcn_normalized(),
-                GnnKind::Sage => sb.mean_normalized(),
+            let adj = if sb.norm == want && sb.adj.values().is_some() {
+                NormAdj::Pre(&sb.adj)
+            } else {
+                NormAdj::Owned(Rc::new(match kind {
+                    GnnKind::Gcn => sb.gcn_normalized(),
+                    GnnKind::Sage => sb.mean_normalized(),
+                }))
             };
-            // Build the CSC mirror before cloning so every layer (and
-            // the backward pass) shares one mirror instead of each
-            // clone rebuilding it lazily.
-            norm.csc();
-            (0..depth)
-                .map(|_| LayerAdj {
-                    adj: NormAdj::Owned(norm.clone()),
-                    n_dst: sb.nodes.len(),
-                })
-                .collect()
+            let full = LayerAdj::new(adj, sb.nodes.len());
+            let seeds = &sb.seed_positions;
+            let seed_block = LayerAdj {
+                adj: NormAdj::Owned(Rc::new(full.norm().select_rows(seeds))),
+                n_dst: seeds.len(),
+                dst_rows: (!seeds.iter().enumerate().all(|(i, &p)| i == p))
+                    .then_some(seeds.as_slice()),
+            };
+            subgraph_layers(full, seed_block, depth)
         }
     }
+}
+
+/// A `depth`-layer stack over one subgraph: `depth - 1` square layers that
+/// share `full` (and, lazily, its one CSC mirror, which only a middle
+/// layer's backward builds), then the seed block, whose output rows are
+/// exactly the seeds — the loss reads nothing else of the last layer.
+fn subgraph_layers<'a>(
+    full: LayerAdj<'a>,
+    seed_block: LayerAdj<'a>,
+    depth: usize,
+) -> Vec<LayerAdj<'a>> {
+    (1..depth)
+        .map(|_| full.clone())
+        .chain(once(seed_block))
+        .collect()
 }
 
 /// The per-layer adjacencies of a *borrowed* batch view, consumed in place
@@ -611,8 +620,7 @@ pub(crate) fn layer_adjs_view_for<'a>(
     depth: usize,
     batch: &SampledBatchView<'a>,
 ) -> Option<Vec<LayerAdj<'a>>> {
-    let want = wanted_norm_for(kind);
-    if batch.norm() != want {
+    if batch.norm() != crate::Arch::from(kind).normalization() {
         return None;
     }
     match batch {
@@ -624,22 +632,21 @@ pub(crate) fn layer_adjs_view_for<'a>(
                 (0..depth)
                     .map(|l| {
                         let b = mb.block(l);
-                        LayerAdj {
-                            adj: NormAdj::View(b.adj),
-                            n_dst: b.dst_nodes.len(),
-                        }
+                        LayerAdj::new(NormAdj::View(b.adj), b.dst_nodes.len())
                     })
                     .collect(),
             )
         }
-        SampledBatchView::Subgraph(sb) => Some(
-            (0..depth)
-                .map(|_| LayerAdj {
-                    adj: NormAdj::View(sb.adj()),
-                    n_dst: sb.nodes().len(),
-                })
-                .collect(),
-        ),
+        SampledBatchView::Subgraph(sb) => {
+            // A view's seeds are always the prefix of its nodes.
+            let seed_block = NormAdj::View(sb.adj().prefix_rows(sb.num_seeds()));
+            let full = LayerAdj::new(NormAdj::View(sb.adj()), sb.nodes().len());
+            Some(subgraph_layers(
+                full,
+                LayerAdj::new(seed_block, sb.num_seeds()),
+                depth,
+            ))
+        }
     }
 }
 
@@ -655,35 +662,29 @@ pub(crate) fn select_rows(m: &Matrix, rows: &[usize]) -> Matrix {
     out
 }
 
-/// [`select_rows`] specialized to the contiguous prefix `0..n` — the seed
-/// layout of every subgraph batch *view* — without a positions slice.
-pub(crate) fn select_prefix_rows(m: &Matrix, n: usize) -> Matrix {
-    let mut out = Matrix::zeros(n, m.cols());
-    out.data_mut().copy_from_slice(&m.data()[..n * m.cols()]);
-    out
-}
-
-fn scatter_rows(m: &Matrix, rows: &[usize], total: usize) -> Matrix {
-    let mut out = Matrix::zeros(total, m.cols());
-    for (i, &r) in rows.iter().enumerate() {
-        out.row_mut(r).copy_from_slice(m.row(i));
-    }
-    out
+/// Copies `h` into an exactly-sized buffer and recycles `h`: it is a
+/// best-fit workspace buffer, often far larger than the logits, and
+/// callers such as the serving result cache may keep the logits alive
+/// indefinitely.
+pub(crate) fn exact_copy_recycling(h: Matrix, ws: &RefCell<Workspace>) -> Matrix {
+    let logits = Matrix::from_vec(h.rows(), h.cols(), h.data().to_vec());
+    ws.borrow_mut().put(h);
+    logits
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use argo_graph::datasets::FLICKR;
-    use argo_sample::{NeighborSampler, Sampler, ShadowSampler};
+    use argo_sample::{NeighborSampler, Normalization, Sampler, ShadowSampler};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn tiny_dataset() -> argo_graph::Dataset {
+    pub(crate) fn tiny_dataset() -> argo_graph::Dataset {
         FLICKR.synthesize(0.01, 11)
     }
 
-    fn sample_blocks(d: &argo_graph::Dataset, n: usize, layers: usize) -> SampledBatch {
+    pub(crate) fn sample_blocks(d: &argo_graph::Dataset, n: usize, layers: usize) -> SampledBatch {
         let s = NeighborSampler::new(vec![5; layers]);
         let seeds: Vec<u32> = d.train_nodes.iter().copied().take(n).collect();
         s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(3))
@@ -715,7 +716,7 @@ pub(crate) mod tests {
         scratch: &'a mut argo_sample::SamplerScratch,
     ) -> SampledBatchView<'a> {
         let run = argo_sample::SampleRun::new(argo_rt::SeedSequence::new(3), scratch)
-            .with_norm(wanted_norm_for(kind));
+            .with_norm(crate::Arch::from(kind).normalization());
         NeighborSampler::new(vec![5, 5]).sample_into(&d.graph, seeds, run)
     }
 
@@ -749,6 +750,43 @@ pub(crate) mod tests {
         let logits = model.forward(&batch, &d.features, None);
         assert_eq!(logits.rows(), 6);
         assert_eq!(logits.cols(), d.num_classes);
+    }
+
+    #[test]
+    fn only_backward_layers_build_csc_mirrors() {
+        let d = tiny_dataset();
+        let seeds: Vec<u32> = d.train_nodes.iter().copied().take(6).collect();
+        for (depth, norm) in [
+            (2, Normalization::Gcn),
+            (3, Normalization::Gcn),
+            (3, Normalization::None),
+        ] {
+            let mut scratch = argo_sample::SamplerScratch::new();
+            let run = argo_sample::SampleRun::new(argo_rt::SeedSequence::new(5), &mut scratch);
+            let s = ShadowSampler::new(vec![5, 3], depth);
+            let batch = s.sample_with(&d.graph, &seeds, run.with_norm(norm));
+            let SampledBatch::Subgraph(sb) = &batch else {
+                unreachable!()
+            };
+            let mut m = Gnn::new(GnnKind::Gcn, d.feat_dim(), 8, d.num_classes, depth, 1);
+            let input = gather_features(&d.features, batch.input_nodes());
+            m.forward_gathered(&batch, input.clone(), None);
+            assert!(!sb.adj.csc_is_built(), "a forward pass never transposes");
+            let adjs = layer_adjs_for(GnnKind::Gcn, depth, &batch);
+            m.train_step_adjs(&adjs, batch.seeds(), input, &d.labels, None);
+            let (square, seed_block) = adjs.split_at(depth - 1);
+            assert!(
+                seed_block[0].norm().csc_is_built(),
+                "{depth} {norm:?}: seed block"
+            );
+            // The square layers share one matrix, so one mirror, built only
+            // when a middle layer's backward needs it.
+            let full = square[0].norm();
+            assert!(square.iter().all(|a| std::ptr::eq(a.norm(), full)));
+            assert_eq!(full.csc_is_built(), depth >= 3, "{depth} {norm:?}: full");
+            assert_eq!(std::ptr::eq(full, &sb.adj), norm == Normalization::Gcn);
+            assert!(!sb.adj.csc_is_built() || norm == Normalization::Gcn);
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ use argo_sample::view::SampledBatchView;
 use argo_tensor::{DispatchPolicy, Epilogue, Matrix, QuantKind, QuantizedMatrix, Workspace};
 
 use crate::model::{
-    gather_features, layer_adjs_for, layer_adjs_view_for, select_prefix_rows, select_rows, Gnn,
-    GnnKind, LayerAdj,
+    exact_copy_recycling, gather_features, layer_adjs_for, layer_adjs_view_for, Gnn, GnnKind,
+    LayerAdj,
 };
 
 struct QuantLayer {
@@ -113,16 +113,7 @@ impl QuantizedGnn {
         pool: Option<&ThreadPool>,
     ) -> Matrix {
         let adjs = layer_adjs_for(self.kind, self.layers.len(), batch);
-        let h = self.forward_core(&adjs, input, pool);
-        // Copy the seed rows out and recycle `h`: it is a best-fit workspace
-        // buffer, often far larger than the logits, and callers such as the
-        // serving result cache may keep the logits alive indefinitely.
-        let logits = match batch {
-            SampledBatch::Blocks(_) => select_prefix_rows(&h, batch.num_seeds()),
-            SampledBatch::Subgraph(sb) => select_rows(&h, &sb.seed_positions),
-        };
-        self.ws.borrow_mut().put(h);
-        logits
+        self.forward_core(&adjs, input, pool)
     }
 
     /// [`QuantizedGnn::forward_gathered`] over a borrowed
@@ -136,20 +127,13 @@ impl QuantizedGnn {
         pool: Option<&ThreadPool>,
     ) -> Matrix {
         match layer_adjs_view_for(self.kind, self.layers.len(), batch) {
-            Some(adjs) => {
-                let h = self.forward_core(&adjs, input, pool);
-                // Seeds are the prefix of a view's output rows (a block
-                // batch's final rows are exactly its seeds); copy them out
-                // and recycle the workspace buffer.
-                let logits = select_prefix_rows(&h, batch.num_seeds());
-                self.ws.borrow_mut().put(h);
-                logits
-            }
+            Some(adjs) => self.forward_core(&adjs, input, pool),
             None => self.forward_gathered(&batch.to_owned(), input, pool),
         }
     }
 
-    /// Shared layer loop of the quantized forward passes.
+    /// Shared layer loop of the quantized forward passes; returns the
+    /// logits.
     fn forward_core(&self, adjs: &[LayerAdj], input: Matrix, pool: Option<&ThreadPool>) -> Matrix {
         let mut h = input;
         for (l, adj) in adjs.iter().enumerate() {
@@ -172,35 +156,27 @@ impl QuantizedGnn {
                 GnnKind::Gcn => self
                     .dispatch
                     .quant_gemm_into(&agg, &layer.w, epi, pool, &mut z),
-                GnnKind::Sage => self
-                    .dispatch
-                    .sage_quant_gemm_into(&h, &agg, &layer.w, epi, pool, &mut z),
+                GnnKind::Sage => self.dispatch.sage_quant_gemm_into(
+                    &adj.self_input(&h),
+                    &agg,
+                    &layer.w,
+                    epi,
+                    pool,
+                    &mut z,
+                ),
             }
             let mut ws = self.ws.borrow_mut();
             ws.put(agg);
             ws.put(std::mem::replace(&mut h, z));
         }
-        h
+        exact_copy_recycling(h, &self.ws)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use argo_graph::datasets::FLICKR;
-    use argo_sample::{NeighborSampler, Sampler};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    fn tiny_dataset() -> argo_graph::Dataset {
-        FLICKR.synthesize(0.01, 11)
-    }
-
-    fn sample_blocks(d: &argo_graph::Dataset, n: usize, layers: usize) -> SampledBatch {
-        let s = NeighborSampler::new(vec![5; layers]);
-        let seeds: Vec<u32> = d.train_nodes.iter().copied().take(n).collect();
-        s.sample(&d.graph, &seeds, &mut SmallRng::seed_from_u64(3))
-    }
+    use crate::model::tests::{sample_blocks, tiny_dataset};
 
     /// Relative Frobenius distance between quantized and f32 logits.
     fn rel_delta(q: &Matrix, f: &Matrix) -> f32 {

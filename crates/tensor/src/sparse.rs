@@ -514,6 +514,43 @@ impl SparseMatrix {
         out
     }
 
+    /// The given rows, in the given order, over all columns — e.g. the seed
+    /// block of a subgraph batch. The prefix `0..n` (the seed layout every
+    /// sampler produces) is one contiguous copy of each CSR array, and its
+    /// CSC mirror then holds exactly the prefix of each column of this
+    /// matrix's mirror.
+    pub fn select_rows(&self, rows: &[usize]) -> SparseMatrix {
+        let (indptr, indices, values) = if rows.iter().enumerate().all(|(i, &r)| i == r) {
+            let end = self.indptr[rows.len()];
+            (
+                self.indptr[..=rows.len()].to_vec(),
+                self.indices[..end].to_vec(),
+                self.values.as_ref().map(|v| v[..end].to_vec()),
+            )
+        } else {
+            let mut indptr = Vec::with_capacity(rows.len() + 1);
+            indptr.push(0);
+            let (mut indices, mut values) = (Vec::new(), self.values.as_ref().map(|_| Vec::new()));
+            for &r in rows {
+                let span = self.indptr[r]..self.indptr[r + 1];
+                indices.extend_from_slice(&self.indices[span.clone()]);
+                if let (Some(dst), Some(src)) = (values.as_mut(), self.values.as_ref()) {
+                    dst.extend_from_slice(&src[span]);
+                }
+                indptr.push(indices.len());
+            }
+            (indptr, indices, values)
+        };
+        SparseMatrix {
+            rows: rows.len(),
+            cols: self.cols,
+            indptr,
+            indices,
+            values,
+            csc: OnceLock::new(),
+        }
+    }
+
     /// Replaces the values; structure unchanged.
     pub fn with_values(&self, values: Vec<f32>) -> SparseMatrix {
         assert_eq!(values.len(), self.nnz());
@@ -647,6 +684,19 @@ impl<'a> SparseView<'a> {
     /// Explicit values, if any.
     pub fn values(&self) -> Option<&'a [f32]> {
         self.values
+    }
+
+    /// The first `n` rows over all columns, zero-copy — the borrowed twin
+    /// of [`SparseMatrix::select_rows`] on the prefix `0..n`.
+    pub fn prefix_rows(&self, n: usize) -> SparseView<'a> {
+        let end = self.indptr[n] as usize;
+        SparseView {
+            rows: n,
+            cols: self.cols,
+            indptr: &self.indptr[..=n],
+            indices: &self.indices[..end],
+            values: self.values.map(|v| &v[..end]),
+        }
     }
 
     /// **SpMM** `self @ dense` into a caller-provided matrix — the borrowed
@@ -1043,6 +1093,73 @@ mod tests {
         let owned = v.to_owned();
         assert_eq!(owned, sample());
         assert!(!owned.csc_is_built(), "materialized view starts lazy");
+    }
+
+    /// Ragged `rows x cols` matrix with explicit values and some empty rows.
+    fn ragged(rows: usize, cols: usize) -> SparseMatrix {
+        let (mut indptr, mut indices, mut values) = (vec![0usize], Vec::new(), Vec::new());
+        for i in 0..rows {
+            for j in 0..cols {
+                if (i * 7 + j * 13) % 5 == 0 && i % 4 != 3 {
+                    indices.push(j as u32);
+                    values.push(0.25 + (i + j) as f32 / 64.0);
+                }
+            }
+            indptr.push(indices.len());
+        }
+        SparseMatrix::new(rows, cols, indptr, indices, Some(values))
+    }
+
+    #[test]
+    fn select_rows_matches_dense_rows_in_any_order() {
+        let s = ragged(12, 9);
+        let dense = s.to_dense();
+        for rows in [vec![], vec![0, 1, 2, 3, 4], vec![7, 3, 3, 0, 11]] {
+            let sel = s.select_rows(&rows);
+            assert_eq!((sel.rows(), sel.cols()), (rows.len(), 9));
+            for (i, &r) in rows.iter().enumerate() {
+                assert_eq!(sel.to_dense().row(i), dense.row(r), "row {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_block_mirror_is_the_prefix_of_each_full_column() {
+        // The exactness claim the seed block rests on: its CSC gather sums
+        // the same nonzero terms, in the same order, as the full mirror
+        // restricted to rows below the prefix.
+        let s = ragged(20, 20);
+        let block = s.select_rows(&(0..8).collect::<Vec<_>>());
+        let (full, part) = (s.csc(), block.csc());
+        for j in 0..20 {
+            let col = &full.rowidx()[full.colptr()[j]..full.colptr()[j + 1]];
+            let kept: Vec<u32> = col.iter().copied().take_while(|&r| r < 8).collect();
+            assert_eq!(
+                &part.rowidx()[part.colptr()[j]..part.colptr()[j + 1]],
+                &kept[..]
+            );
+        }
+        // So `blockᵀ g` equals `sᵀ (g padded with zero rows)` bitwise.
+        let g = Matrix::xavier(8, 6, 4);
+        let mut padded = Matrix::zeros(20, 6);
+        padded.data_mut()[..g.data().len()].copy_from_slice(g.data());
+        for simd in [false, true] {
+            let (mut a, mut b) = (Matrix::zeros(20, 6), Matrix::zeros(20, 6));
+            block.spmm_transpose_csc_into_opt(&g, &mut a, simd);
+            s.spmm_transpose_csc_into_opt(&padded, &mut b, simd);
+            assert_eq!(a.data(), b.data(), "simd={simd}");
+        }
+    }
+
+    #[test]
+    fn view_prefix_rows_equals_owned_select_rows() {
+        let s = ragged(10, 7);
+        let indptr: Vec<u32> = s.indptr().iter().map(|&p| p as u32).collect();
+        let v = SparseView::new(10, 7, &indptr, s.indices(), s.values());
+        for n in [0, 4, 10] {
+            let prefix: Vec<usize> = (0..n).collect();
+            assert_eq!(v.prefix_rows(n).to_owned(), s.select_rows(&prefix));
+        }
     }
 
     #[test]
