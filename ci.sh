@@ -29,6 +29,10 @@ echo "==> perfbench build (the benchmark package must keep compiling against the
 CARGO_TARGET_DIR="${PERFBENCH_TARGET_DIR:-.bench_build}" \
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench smoke (served logits bitwise equal to a caches-off replay, params fingerprint equal across fresh engines, iterations per epoch)"
+CARGO_TARGET_DIR="${PERFBENCH_TARGET_DIR:-.bench_build}" \
+    python3 perfbench/run.py --workload shadow-gcn-flickr --seed 1 --seconds 5 --trace 0
+
 echo "==> micro_kernels quick perf gate (blocked must not lose to serial; simd must not lose to the tier below)"
 ARGO_BENCH_QUICK=1 cargo bench -q -p argo-bench --bench micro_kernels
 

@@ -698,12 +698,11 @@ fn run_process(spec: ProcessSpec, trace: &TraceRecorder) -> ProcessResult {
     let mut opt = opt0;
 
     let n_samp = sampling_cores.len();
-    let graph = Arc::new(dataset.graph.clone());
     // The loader pre-gathers every batch's input rows on the sampling cores
     // from the shared feature table; the cache, when on, only changes where
     // those rows come from.
     let mut loader_spec = LoaderSpec::builder(
-        graph,
+        Arc::clone(&dataset.graph),
         Arc::clone(&dataset.features),
         Arc::clone(&sampler),
         Arc::clone(&seeds_part),
@@ -947,6 +946,23 @@ mod tests {
         let stats = e.train_epoch(Config::new(2, 1, 1), None);
         assert!(stats.loss.is_finite());
         assert!(stats.edges > 0);
+    }
+
+    #[test]
+    fn ranks_sample_from_the_datasets_own_graph() {
+        // Every rank's loader shares the dataset's graph, so the symmetry
+        // check an induced sampler runs is paid once and stays cached for
+        // the next epoch instead of being redone on a per-rank copy.
+        let d = tiny();
+        assert!(!d.graph.symmetry_is_cached());
+        let opts = EngineOptions {
+            kind: Arch::Gcn,
+            ..opts(48)
+        };
+        let sampler = Arc::new(ShadowSampler::new(vec![6, 3], 2));
+        let mut e = Engine::new(Arc::clone(&d), sampler, opts);
+        e.train_epoch(Config::new(2, 1, 1), None);
+        assert!(d.graph.symmetry_is_cached());
     }
 
     #[test]

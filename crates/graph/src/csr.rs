@@ -221,6 +221,12 @@ impl Graph {
         })
     }
 
+    /// Whether [`Graph::is_symmetric`] has already run on this graph; its
+    /// answer is cached from then on.
+    pub fn symmetry_is_cached(&self) -> bool {
+        self.symmetric.get().is_some()
+    }
+
     /// The subgraph induced by `nodes`, with nodes relabeled to
     /// `0..nodes.len()` in the order given. Returns the subgraph; the inverse
     /// mapping is `nodes` itself. `nodes` must not contain duplicates.

@@ -115,7 +115,7 @@ impl DatasetSpec {
         let val: Vec<u32> = (1..n).step_by(stride * 3).map(|v| v as u32).collect();
         Dataset {
             spec: *self,
-            graph,
+            graph: Arc::new(graph),
             features: Arc::new(features),
             labels,
             train_nodes: train,
@@ -130,8 +130,9 @@ impl DatasetSpec {
 pub struct Dataset {
     /// The spec this instance was synthesized from.
     pub spec: DatasetSpec,
-    /// Graph topology (undirected, CSR).
-    pub graph: Graph,
+    /// Graph topology (undirected, CSR), shared with every rank, loader and
+    /// serving session so its lazily built caches are computed once.
+    pub graph: Arc<Graph>,
     /// Node features (`num_nodes x feat_dim`), shared read-only by every
     /// loader worker, rank and serving session that gathers from them.
     pub features: Arc<Features>,

@@ -195,7 +195,7 @@ pub fn read_dataset(r: &mut impl Read) -> io::Result<Dataset> {
     });
     Ok(Dataset {
         spec,
-        graph,
+        graph: Arc::new(graph),
         features: Arc::new(features),
         labels,
         train_nodes,

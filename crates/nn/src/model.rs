@@ -11,7 +11,6 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::iter::once;
 use std::rc::Rc;
 
 use argo_graph::features::Features;
@@ -19,7 +18,9 @@ use argo_rt::ThreadPool;
 use argo_sample::batch::SampledBatch;
 use argo_sample::view::SampledBatchView;
 use argo_tensor::ops::{accuracy, bias_grad_into, relu_backward, softmax_cross_entropy};
-use argo_tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix, SparseView, Workspace};
+use argo_tensor::{
+    ColumnSubset, DispatchPolicy, Epilogue, Matrix, SparseMatrix, SparseView, Workspace,
+};
 
 /// Which aggregation rule a model uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,8 +71,8 @@ pub struct StepStats {
 }
 
 /// One layer's normalized adjacency: a borrow of the pre-normalized matrix
-/// the sampler fused during block assembly, a matrix built here (the seed
-/// block of a subgraph, or the legacy renormalization of a batch sampled
+/// the sampler fused during block assembly, a matrix built here (a pruned
+/// subgraph layer, or the legacy renormalization of a batch sampled
 /// without fusion; shared by every layer that uses it, CSC mirror
 /// included), or a borrowed [`SparseView`] straight out of the sampler's
 /// batch arena (zero-copy inference path).
@@ -82,16 +83,44 @@ pub(crate) enum NormAdj<'a> {
     View(SparseView<'a>),
 }
 
+impl<'a> NormAdj<'a> {
+    fn rows(&self) -> usize {
+        match self {
+            NormAdj::Pre(m) => m.rows(),
+            NormAdj::Owned(m) => m.rows(),
+            NormAdj::View(v) => v.rows(),
+        }
+    }
+
+    /// The column indices of row `i`.
+    fn row(&self, i: usize) -> &[u32] {
+        match self {
+            NormAdj::Pre(m) => &m.indices()[m.indptr()[i]..m.indptr()[i + 1]],
+            NormAdj::Owned(m) => &m.indices()[m.indptr()[i]..m.indptr()[i + 1]],
+            NormAdj::View(v) => &v.indices()[v.indptr()[i] as usize..v.indptr()[i + 1] as usize],
+        }
+    }
+
+    /// The given rows over the given columns (all when `cols` is `None`).
+    fn select_rows(&self, rows: &[usize], cols: Option<&ColumnSubset>) -> NormAdj<'a> {
+        NormAdj::Owned(Rc::new(match self {
+            NormAdj::Pre(m) => m.select_rows(rows, cols),
+            NormAdj::Owned(m) => m.select_rows(rows, cols),
+            NormAdj::View(v) => v.select_rows(rows, cols),
+        }))
+    }
+}
+
 /// One layer's normalized adjacency plus its output rows; uniform view
-/// over bipartite blocks, square ShaDow layers and a subgraph's seed block.
+/// over bipartite blocks and the pruned layers of a subgraph.
 #[derive(Clone)]
 pub(crate) struct LayerAdj<'a> {
     pub(crate) adj: NormAdj<'a>,
     pub(crate) n_dst: usize,
     /// The input rows the output rows stand for, when they are not the
-    /// prefix `0..n_dst` (a subgraph whose seeds are not its first nodes):
-    /// GraphSAGE's self path reads these rows instead.
-    dst_rows: Option<&'a [usize]>,
+    /// prefix `0..n_dst` (a pruned subgraph layer): GraphSAGE's self path
+    /// reads these rows instead.
+    dst_rows: Option<Rc<[usize]>>,
 }
 
 impl<'a> LayerAdj<'a> {
@@ -116,7 +145,7 @@ impl<'a> LayerAdj<'a> {
     /// The self-path input of GraphSAGE: `h`'s first `n_dst` rows, or a
     /// copy of its `dst_rows`.
     pub(crate) fn self_input<'h>(&self, h: &'h Matrix) -> Cow<'h, Matrix> {
-        match self.dst_rows {
+        match &self.dst_rows {
             Some(rows) => Cow::Owned(select_rows(h, rows)),
             None => Cow::Borrowed(h),
         }
@@ -124,11 +153,7 @@ impl<'a> LayerAdj<'a> {
 
     /// Row count of the adjacency (aggregation output rows).
     pub(crate) fn rows(&self) -> usize {
-        match &self.adj {
-            NormAdj::Pre(m) => m.rows(),
-            NormAdj::Owned(m) => m.rows(),
-            NormAdj::View(v) => v.rows(),
-        }
+        self.adj.rows()
     }
 
     /// Forward aggregation `out = adj × h` through the dispatch policy,
@@ -305,10 +330,11 @@ impl Gnn {
     }
 
     /// [`Gnn::forward_gathered`] over a borrowed [`SampledBatchView`]: the
-    /// adjacencies are consumed straight out of the sampler's batch arena
-    /// with zero copies. Falls back to materializing the owned batch when
-    /// the fused normalization does not match this model (the sampler then
-    /// re-normalizes the owned copy, exactly as before).
+    /// adjacencies are read straight out of the sampler's batch arena (a
+    /// subgraph's pruned layers copy only their own rows). Falls back to
+    /// materializing the owned batch when the fused normalization does not
+    /// match this model (the sampler then re-normalizes the owned copy,
+    /// exactly as before).
     pub fn forward_gathered_view(
         &self,
         batch: &SampledBatchView<'_>,
@@ -462,7 +488,7 @@ impl Gnn {
                     // Self-path gradient lands on the rows the outputs
                     // stand for: the first n_dst src rows, or `dst_rows`.
                     for r in 0..adj.n_dst {
-                        let src = adj.dst_rows.map_or(r, |rows| rows[r]);
+                        let src = adj.dst_rows.as_ref().map_or(r, |rows| rows[r]);
                         for (a, b) in dh.row_mut(src).iter_mut().zip(dself.row(r)) {
                             *a += b;
                         }
@@ -583,32 +609,75 @@ pub(crate) fn layer_adjs_for(
                     GnnKind::Sage => sb.mean_normalized(),
                 }))
             };
-            let full = LayerAdj::new(adj, sb.nodes.len());
-            let seeds = &sb.seed_positions;
-            let seed_block = LayerAdj {
-                adj: NormAdj::Owned(Rc::new(full.norm().select_rows(seeds))),
-                n_dst: seeds.len(),
-                dst_rows: (!seeds.iter().enumerate().all(|(i, &p)| i == p))
-                    .then_some(seeds.as_slice()),
-            };
-            subgraph_layers(full, seed_block, depth)
+            subgraph_layers(adj, &sb.seed_positions, depth)
         }
     }
 }
 
-/// A `depth`-layer stack over one subgraph: `depth - 1` square layers that
-/// share `full` (and, lazily, its one CSC mirror, which only a middle
-/// layer's backward builds), then the seed block, whose output rows are
-/// exactly the seeds — the loss reads nothing else of the last layer.
-fn subgraph_layers<'a>(
-    full: LayerAdj<'a>,
-    seed_block: LayerAdj<'a>,
-    depth: usize,
-) -> Vec<LayerAdj<'a>> {
-    (1..depth)
-        .map(|_| full.clone())
-        .chain(once(seed_block))
+/// A `depth`-layer stack over one subgraph, pruned to the seeds' receptive
+/// field. `R_0` is the seeds and `R_{k+1}` adds the columns of `R_k`'s
+/// rows; layer `l` computes only the rows `R_{depth-1-l}` (the last layer
+/// exactly the seeds, in seed order), over the columns `R_{depth-l}`
+/// renumbered in ascending order — layer 0 keeps every input row as a
+/// column. Past the seeds every `R_k` is in ascending subgraph order, so a
+/// kept row sums the same terms in the same order as over the whole
+/// subgraph, and a dropped row would carry an exactly-zero gradient:
+/// logits and gradients are bitwise those of computing every row. A layer
+/// whose rows are the whole subgraph shares `full` with no copy.
+fn subgraph_layers<'a>(full: NormAdj<'a>, seeds: &[usize], depth: usize) -> Vec<LayerAdj<'a>> {
+    let n = full.rows();
+    let hop = hop_distances(&full, seeds, depth - 1);
+    (0..depth)
+        .map(|l| {
+            let k = (depth - 1 - l) as u32;
+            let rows: Vec<usize> = match k {
+                0 => seeds.to_vec(),
+                _ => (0..n).filter(|&v| hop[v] <= k).collect(),
+            };
+            if rows.len() == n && is_prefix(&rows) {
+                return LayerAdj::new(full.clone(), n);
+            }
+            let cols = (l > 0 && hop.iter().any(|&h| h > k + 1))
+                .then(|| ColumnSubset::new(n, |v| hop[v] <= k + 1));
+            let dst: Vec<usize> = match &cols {
+                Some(c) => rows.iter().map(|&r| c.position(r)).collect(),
+                None => rows.clone(),
+            };
+            LayerAdj {
+                adj: full.select_rows(&rows, cols.as_ref()),
+                n_dst: rows.len(),
+                dst_rows: (!is_prefix(&dst)).then(|| dst.into()),
+            }
+        })
         .collect()
+}
+
+/// Hop distance of every subgraph row from the nearest seed, following
+/// each row to its columns, out to `max` hops; rows further out get
+/// `u32::MAX`.
+fn hop_distances(adj: &NormAdj, seeds: &[usize], max: usize) -> Vec<u32> {
+    let mut hop = vec![u32::MAX; adj.rows()];
+    for &s in seeds {
+        hop[s] = 0;
+    }
+    let mut frontier = seeds.to_vec();
+    for k in 1..=max as u32 {
+        let mut next = Vec::new();
+        for &v in &frontier {
+            for &c in adj.row(v) {
+                if hop[c as usize] == u32::MAX {
+                    hop[c as usize] = k;
+                    next.push(c as usize);
+                }
+            }
+        }
+        frontier = next;
+    }
+    hop
+}
+
+fn is_prefix(rows: &[usize]) -> bool {
+    rows.iter().enumerate().all(|(i, &r)| i == r)
 }
 
 /// The per-layer adjacencies of a *borrowed* batch view, consumed in place
@@ -639,13 +708,8 @@ pub(crate) fn layer_adjs_view_for<'a>(
         }
         SampledBatchView::Subgraph(sb) => {
             // A view's seeds are always the prefix of its nodes.
-            let seed_block = NormAdj::View(sb.adj().prefix_rows(sb.num_seeds()));
-            let full = LayerAdj::new(NormAdj::View(sb.adj()), sb.nodes().len());
-            Some(subgraph_layers(
-                full,
-                LayerAdj::new(seed_block, sb.num_seeds()),
-                depth,
-            ))
+            let seeds: Vec<usize> = (0..sb.num_seeds()).collect();
+            Some(subgraph_layers(NormAdj::View(sb.adj()), &seeds, depth))
         }
     }
 }
@@ -768,24 +832,113 @@ pub(crate) mod tests {
             let SampledBatch::Subgraph(sb) = &batch else {
                 unreachable!()
             };
+            let n = sb.nodes.len();
             let mut m = Gnn::new(GnnKind::Gcn, d.feat_dim(), 8, d.num_classes, depth, 1);
             let input = gather_features(&d.features, batch.input_nodes());
-            m.forward_gathered(&batch, input.clone(), None);
-            assert!(!sb.adj.csc_is_built(), "a forward pass never transposes");
             let adjs = layer_adjs_for(GnnKind::Gcn, depth, &batch);
-            m.train_step_adjs(&adjs, batch.seeds(), input, &d.labels, None);
-            let (square, seed_block) = adjs.split_at(depth - 1);
+            m.forward_core(&adjs, input.clone(), None);
             assert!(
-                seed_block[0].norm().csc_is_built(),
-                "{depth} {norm:?}: seed block"
+                adjs.iter().all(|a| !a.norm().csc_is_built()) && !sb.adj.csc_is_built(),
+                "{depth} {norm:?}: a forward pass never transposes"
             );
-            // The square layers share one matrix, so one mirror, built only
-            // when a middle layer's backward needs it.
-            let full = square[0].norm();
-            assert!(square.iter().all(|a| std::ptr::eq(a.norm(), full)));
-            assert_eq!(full.csc_is_built(), depth >= 3, "{depth} {norm:?}: full");
-            assert_eq!(std::ptr::eq(full, &sb.adj), norm == Normalization::Gcn);
-            assert!(!sb.adj.csc_is_built() || norm == Normalization::Gcn);
+            m.train_step_adjs(&adjs, batch.seeds(), input, &d.labels, None);
+            // Layer 0's input gets no gradient, so only the later layers
+            // transpose, each its own pruned matrix.
+            for (l, a) in adjs.iter().enumerate() {
+                assert_eq!(
+                    a.norm().csc_is_built(),
+                    l > 0,
+                    "{depth} {norm:?}: layer {l}"
+                );
+            }
+            assert!(
+                adjs.iter()
+                    .all(|a| a.rows() < n || !a.norm().csc_is_built()),
+                "{depth} {norm:?}: no mirror of the N×N adjacency"
+            );
+            assert!(
+                !sb.adj.csc_is_built(),
+                "{depth} {norm:?}: sampled adjacency"
+            );
+            // Two sampled hops reach the whole subgraph, so a depth-3 layer 0
+            // computes every row and shares the adjacency it was given.
+            if depth == 3 {
+                let full = adjs[0].norm();
+                assert_eq!(full.rows(), n);
+                assert_eq!(std::ptr::eq(full, &sb.adj), norm == Normalization::Gcn);
+            }
+        }
+    }
+
+    /// `|R_0|, …, |R_{depth-1}|` of `adj`: `R_0` is the seeds and each
+    /// round adds the columns of every row already inside.
+    fn hop_set_sizes(adj: &SparseMatrix, seeds: &[usize], depth: usize) -> Vec<usize> {
+        let mut inside = vec![false; adj.rows()];
+        for &p in seeds {
+            inside[p] = true;
+        }
+        let mut sizes = vec![seeds.len()];
+        for _ in 1..depth {
+            let mut grown = inside.clone();
+            for r in (0..adj.rows()).filter(|&r| inside[r]) {
+                for &c in &adj.indices()[adj.indptr()[r]..adj.indptr()[r + 1]] {
+                    grown[c as usize] = true;
+                }
+            }
+            inside = grown;
+            sizes.push(inside.iter().filter(|&&x| x).count());
+        }
+        sizes
+    }
+
+    #[test]
+    fn subgraph_layers_compute_only_the_receptive_field() {
+        let d = FLICKR.synthesize(0.02, 5);
+        let seeds: Vec<u32> = d.train_nodes.iter().copied().take(40).collect();
+        let full = argo_sample::full_graph_batch(&d.graph, &d.train_nodes);
+        for kind in [GnnKind::Gcn, GnnKind::Sage] {
+            let norm = crate::Arch::from(kind).normalization();
+            for depth in [2, 3] {
+                let shadow = ShadowSampler::new(vec![5, 3], depth);
+                let saint = argo_sample::SaintRwSampler::new(2, depth);
+                let samplers: [(&str, &dyn Sampler); 2] = [("shadow", &shadow), ("saint", &saint)];
+                for (name, sampler) in samplers {
+                    let mut scratch = argo_sample::SamplerScratch::new();
+                    let run =
+                        argo_sample::SampleRun::new(argo_rt::SeedSequence::new(7), &mut scratch)
+                            .with_norm(norm);
+                    let view = sampler.sample_into(&d.graph, &seeds, run);
+                    let batch = view.to_owned();
+                    let SampledBatch::Subgraph(sb) = &batch else {
+                        unreachable!()
+                    };
+                    let want = hop_set_sizes(&sb.adj, &sb.seed_positions, depth);
+                    let rows =
+                        |adjs: Vec<LayerAdj>| adjs.iter().map(|a| a.n_dst).collect::<Vec<_>>();
+                    let got = rows(layer_adjs_for(kind, depth, &batch));
+                    let what = format!("{name} {kind:?} depth {depth}");
+                    assert_eq!(
+                        got.iter().rev().copied().collect::<Vec<_>>(),
+                        want,
+                        "{what}"
+                    );
+                    let adjs = layer_adjs_view_for(kind, depth, &view).expect("fused norm");
+                    assert_eq!(rows(adjs), got, "{what}: view");
+                    if name == "shadow" && depth == 2 {
+                        assert!(got[0] < sb.nodes.len(), "{what}: layer 0 is pruned");
+                    }
+                }
+                let SampledBatch::Subgraph(sb) = &full else {
+                    unreachable!()
+                };
+                let want = hop_set_sizes(&sb.adj, &sb.seed_positions, depth);
+                let got: Vec<usize> = layer_adjs_for(kind, depth, &full)
+                    .iter()
+                    .rev()
+                    .map(|a| a.n_dst)
+                    .collect();
+                assert_eq!(got, want, "full graph {kind:?} depth {depth}");
+            }
         }
     }
 

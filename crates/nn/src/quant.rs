@@ -117,9 +117,10 @@ impl QuantizedGnn {
     }
 
     /// [`QuantizedGnn::forward_gathered`] over a borrowed
-    /// [`SampledBatchView`]: adjacencies are consumed straight out of the
-    /// sampler's batch arena with zero copies. Falls back to the owned path
-    /// when the fused normalization does not match this model.
+    /// [`SampledBatchView`]: adjacencies are read straight out of the
+    /// sampler's batch arena (a subgraph's pruned layers copy only their
+    /// own rows). Falls back to the owned path when the fused
+    /// normalization does not match this model.
     pub fn forward_gathered_view(
         &self,
         batch: &SampledBatchView<'_>,

@@ -26,5 +26,5 @@ pub use dense::Matrix;
 pub use dispatch::{DispatchPolicy, Epilogue};
 pub use quant::{QuantKind, QuantizedMatrix};
 pub use simd::available as simd_available;
-pub use sparse::{CscMirror, SparseMatrix, SparseView};
+pub use sparse::{ColumnSubset, CscMirror, SparseMatrix, SparseView};
 pub use workspace::Workspace;

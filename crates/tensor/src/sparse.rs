@@ -514,41 +514,20 @@ impl SparseMatrix {
         out
     }
 
-    /// The given rows, in the given order, over all columns — e.g. the seed
-    /// block of a subgraph batch. The prefix `0..n` (the seed layout every
-    /// sampler produces) is one contiguous copy of each CSR array, and its
-    /// CSC mirror then holds exactly the prefix of each column of this
-    /// matrix's mirror.
-    pub fn select_rows(&self, rows: &[usize]) -> SparseMatrix {
-        let (indptr, indices, values) = if rows.iter().enumerate().all(|(i, &r)| i == r) {
-            let end = self.indptr[rows.len()];
-            (
-                self.indptr[..=rows.len()].to_vec(),
-                self.indices[..end].to_vec(),
-                self.values.as_ref().map(|v| v[..end].to_vec()),
-            )
-        } else {
-            let mut indptr = Vec::with_capacity(rows.len() + 1);
-            indptr.push(0);
-            let (mut indices, mut values) = (Vec::new(), self.values.as_ref().map(|_| Vec::new()));
-            for &r in rows {
-                let span = self.indptr[r]..self.indptr[r + 1];
-                indices.extend_from_slice(&self.indices[span.clone()]);
-                if let (Some(dst), Some(src)) = (values.as_mut(), self.values.as_ref()) {
-                    dst.extend_from_slice(&src[span]);
-                }
-                indptr.push(indices.len());
-            }
-            (indptr, indices, values)
-        };
-        SparseMatrix {
-            rows: rows.len(),
-            cols: self.cols,
-            indptr,
-            indices,
-            values,
-            csc: OnceLock::new(),
-        }
+    /// The given rows, in the given order — e.g. the rows a subgraph
+    /// layer must compute. `cols` renumbers the columns onto a kept subset
+    /// (every entry of the rows must lie in it); the renumbering is
+    /// monotone, so each row keeps its entry order. Without it all columns
+    /// stay.
+    pub fn select_rows(&self, rows: &[usize], cols: Option<&ColumnSubset>) -> SparseMatrix {
+        select_csr(
+            |i| self.indptr[i],
+            &self.indices,
+            self.values.as_deref(),
+            self.cols,
+            rows,
+            cols,
+        )
     }
 
     /// Replaces the values; structure unchanged.
@@ -574,6 +553,87 @@ impl SparseMatrix {
             }
         }
         out
+    }
+}
+
+/// A subset of a matrix's columns renumbered in ascending order: the
+/// monotone column map of [`SparseMatrix::select_rows`] and
+/// [`SparseView::select_rows`].
+#[derive(Clone, Debug)]
+pub struct ColumnSubset {
+    /// New index of each kept column; `u32::MAX` for a dropped one.
+    pos: Vec<u32>,
+    kept: usize,
+}
+
+impl ColumnSubset {
+    /// Keeps the columns `c < cols` for which `keep(c)` holds.
+    pub fn new(cols: usize, keep: impl Fn(usize) -> bool) -> Self {
+        let mut kept = 0;
+        let pos = (0..cols)
+            .map(|c| {
+                if !keep(c) {
+                    return u32::MAX;
+                }
+                kept += 1;
+                kept as u32 - 1
+            })
+            .collect();
+        Self { pos, kept }
+    }
+
+    /// Number of kept columns.
+    pub(crate) fn kept(&self) -> usize {
+        self.kept
+    }
+
+    /// New index of the kept column `c`.
+    pub fn position(&self, c: usize) -> usize {
+        let p = self.pos[c];
+        assert!(p != u32::MAX, "column {c} is not kept");
+        p as usize
+    }
+}
+
+/// Row selection with an optional column renumbering over borrowed CSR
+/// arrays (`row_start(i)` is `indptr[i]`), shared by the owned and the
+/// borrowed matrix.
+fn select_csr(
+    row_start: impl Fn(usize) -> usize,
+    indices: &[u32],
+    values: Option<&[f32]>,
+    cols: usize,
+    rows: &[usize],
+    keep: Option<&ColumnSubset>,
+) -> SparseMatrix {
+    let n = rows.len();
+    let nnz = rows.iter().map(|&r| row_start(r + 1) - row_start(r)).sum();
+    let mut indptr = Vec::with_capacity(n + 1);
+    indptr.push(0);
+    let mut out = Vec::with_capacity(nnz);
+    let mut vals = values.map(|_| Vec::with_capacity(nnz));
+    for &r in rows {
+        let span = row_start(r)..row_start(r + 1);
+        match keep {
+            Some(k) => out.extend(
+                indices[span.clone()]
+                    .iter()
+                    .map(|&c| k.position(c as usize) as u32),
+            ),
+            None => out.extend_from_slice(&indices[span.clone()]),
+        }
+        if let (Some(dst), Some(src)) = (vals.as_mut(), values) {
+            dst.extend_from_slice(&src[span]);
+        }
+        indptr.push(out.len());
+    }
+    SparseMatrix {
+        rows: n,
+        cols: keep.map_or(cols, ColumnSubset::kept),
+        indptr,
+        indices: out,
+        values: vals,
+        csc: OnceLock::new(),
     }
 }
 
@@ -686,17 +746,16 @@ impl<'a> SparseView<'a> {
         self.values
     }
 
-    /// The first `n` rows over all columns, zero-copy — the borrowed twin
-    /// of [`SparseMatrix::select_rows`] on the prefix `0..n`.
-    pub fn prefix_rows(&self, n: usize) -> SparseView<'a> {
-        let end = self.indptr[n] as usize;
-        SparseView {
-            rows: n,
-            cols: self.cols,
-            indptr: &self.indptr[..=n],
-            indices: &self.indices[..end],
-            values: self.values.map(|v| &v[..end]),
-        }
+    /// [`SparseMatrix::select_rows`] read straight from the borrowed arrays.
+    pub fn select_rows(&self, rows: &[usize], cols: Option<&ColumnSubset>) -> SparseMatrix {
+        select_csr(
+            |i| self.indptr[i] as usize,
+            self.indices,
+            self.values,
+            self.cols,
+            rows,
+            cols,
+        )
     }
 
     /// **SpMM** `self @ dense` into a caller-provided matrix — the borrowed
@@ -1115,7 +1174,7 @@ mod tests {
         let s = ragged(12, 9);
         let dense = s.to_dense();
         for rows in [vec![], vec![0, 1, 2, 3, 4], vec![7, 3, 3, 0, 11]] {
-            let sel = s.select_rows(&rows);
+            let sel = s.select_rows(&rows, None);
             assert_eq!((sel.rows(), sel.cols()), (rows.len(), 9));
             for (i, &r) in rows.iter().enumerate() {
                 assert_eq!(sel.to_dense().row(i), dense.row(r), "row {r}");
@@ -1125,11 +1184,11 @@ mod tests {
 
     #[test]
     fn prefix_block_mirror_is_the_prefix_of_each_full_column() {
-        // The exactness claim the seed block rests on: its CSC gather sums
+        // The exactness claim a seed-prefix layer rests on: its CSC gather sums
         // the same nonzero terms, in the same order, as the full mirror
         // restricted to rows below the prefix.
         let s = ragged(20, 20);
-        let block = s.select_rows(&(0..8).collect::<Vec<_>>());
+        let block = s.select_rows(&(0..8).collect::<Vec<_>>(), None);
         let (full, part) = (s.csc(), block.csc());
         for j in 0..20 {
             let col = &full.rowidx()[full.colptr()[j]..full.colptr()[j + 1]];
@@ -1152,14 +1211,71 @@ mod tests {
     }
 
     #[test]
-    fn view_prefix_rows_equals_owned_select_rows() {
+    fn view_select_rows_equals_owned_select_rows() {
         let s = ragged(10, 7);
         let indptr: Vec<u32> = s.indptr().iter().map(|&p| p as u32).collect();
         let v = SparseView::new(10, 7, &indptr, s.indices(), s.values());
-        for n in [0, 4, 10] {
-            let prefix: Vec<usize> = (0..n).collect();
-            assert_eq!(v.prefix_rows(n).to_owned(), s.select_rows(&prefix));
+        for rows in [
+            vec![],
+            vec![0, 1, 2, 3],
+            (0..10).collect(),
+            vec![9, 2, 2, 5],
+        ] {
+            assert_eq!(v.select_rows(&rows, None), s.select_rows(&rows, None));
         }
+    }
+
+    /// `m`'s rows at `rows`, in order.
+    fn dense_rows(m: &Matrix, rows: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(rows.len(), m.cols());
+        for (i, &r) in rows.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(m.row(r));
+        }
+        out
+    }
+
+    #[test]
+    fn column_subset_keeps_each_rows_terms_in_order() {
+        // The exactness claim a pruned subgraph layer rests on: ascending
+        // rows over their compacted columns sum the same nonzero terms, in
+        // the same order, as the full matrix does forward and transposed.
+        let s = ragged(20, 20);
+        let rows = [1, 2, 5, 8, 13];
+        let reached = |c: usize| {
+            rows.iter()
+                .any(|&r| s.indices()[s.indptr()[r]..s.indptr()[r + 1]].contains(&(c as u32)))
+        };
+        let keep = ColumnSubset::new(20, |c| reached(c) || c % 3 == 0);
+        let kept: Vec<usize> = (0..20).filter(|&c| reached(c) || c % 3 == 0).collect();
+        assert_eq!(keep.kept(), kept.len());
+        let sub = s.select_rows(&rows, Some(&keep));
+        assert_eq!((sub.rows(), sub.cols()), (rows.len(), kept.len()));
+        let indptr: Vec<u32> = s.indptr().iter().map(|&p| p as u32).collect();
+        let v = SparseView::new(20, 20, &indptr, s.indices(), s.values());
+        assert_eq!(v.select_rows(&rows, Some(&keep)), sub);
+
+        let h = Matrix::xavier(20, 6, 3);
+        let g = Matrix::xavier(rows.len(), 6, 4);
+        let mut padded = Matrix::zeros(20, 6);
+        for (i, &r) in rows.iter().enumerate() {
+            padded.row_mut(r).copy_from_slice(g.row(i));
+        }
+        for simd in [false, true] {
+            let (mut a, mut b) = (Matrix::zeros(rows.len(), 6), Matrix::zeros(20, 6));
+            sub.spmm_into_opt(&dense_rows(&h, &kept), &mut a, simd);
+            s.spmm_into_opt(&h, &mut b, simd);
+            assert_eq!(a.data(), dense_rows(&b, &rows).data(), "simd={simd}");
+            let (mut a, mut b) = (Matrix::zeros(kept.len(), 6), Matrix::zeros(20, 6));
+            sub.spmm_transpose_csc_into_opt(&g, &mut a, simd);
+            s.spmm_transpose_csc_into_opt(&padded, &mut b, simd);
+            assert_eq!(a.data(), dense_rows(&b, &kept).data(), "simd={simd}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not kept")]
+    fn column_subset_rejects_a_dropped_column() {
+        ragged(6, 6).select_rows(&[0], Some(&ColumnSubset::new(6, |_| false)));
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn build_citation_graph(n: usize, k: usize, seed: u64) -> Dataset {
             f1: 32,
             f2: k,
         },
-        graph,
+        graph: Arc::new(graph),
         features: Arc::new(Features::new(feats, dim)),
         labels,
         train_nodes: train,

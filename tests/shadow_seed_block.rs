@@ -1,8 +1,9 @@
-//! Pins the ShaDow seed block: a subgraph batch's last GNN layer runs only
-//! at its seed rows, and that must not change a single bit of the logits
-//! or gradients against the full-rows computation (last layer over all N
-//! subgraph rows, seed rows selected for the loss, loss gradient scattered
-//! back into N zero rows).
+//! Pins the pruned subgraph layers: a subgraph batch's GNN layer `l`
+//! computes only the rows within `L-1-l` hops of a seed (the last layer
+//! exactly the seed rows), and that must not change a single bit of the
+//! logits or gradients against the full-rows computation (every layer over
+//! all N subgraph rows, seed rows selected for the loss, loss gradient
+//! scattered back into N zero rows).
 //!
 //! The reference below is written from the public `DispatchPolicy` kernels
 //! alone, so it does not share code with the model it checks.
@@ -11,7 +12,9 @@ use argo::graph::datasets::{Dataset, FLICKR};
 use argo::nn::{Gnn, GnnKind};
 use argo::rt::{SeedSequence, ThreadPool};
 use argo::sample::batch::{Normalization, SampledBatch};
-use argo::sample::{full_graph_batch, SampleRun, Sampler, SamplerScratch, ShadowSampler};
+use argo::sample::{
+    full_graph_batch, SaintRwSampler, SampleRun, Sampler, SamplerScratch, ShadowSampler,
+};
 use argo::tensor::ops::{bias_grad, relu_backward, softmax_cross_entropy};
 use argo::tensor::{DispatchPolicy, Epilogue, Matrix, SparseMatrix};
 
@@ -203,10 +206,16 @@ fn check(
 /// A fused-normalization ShaDow batch for `kind` at `depth`, plus the
 /// view-path logits of `model` on it.
 fn shadow_batch(d: &Dataset, model: &Gnn, depth: usize) -> (SampledBatch, Matrix) {
+    sampled_batch(d, model, &ShadowSampler::new(vec![5, 3], depth))
+}
+
+/// A fused-normalization batch of `sampler` for `model`'s kind, plus the
+/// view-path logits of `model` on it.
+fn sampled_batch(d: &Dataset, model: &Gnn, sampler: &dyn Sampler) -> (SampledBatch, Matrix) {
     let seeds: Vec<u32> = d.train_nodes.iter().copied().take(40).collect();
     let mut scratch = SamplerScratch::new();
     let run = SampleRun::new(SeedSequence::new(7), &mut scratch).with_norm(norm_for(model.kind()));
-    let view = ShadowSampler::new(vec![5, 3], depth).sample_into(&d.graph, &seeds, run);
+    let view = sampler.sample_into(&d.graph, &seeds, run);
     let input = Matrix::from_vec(
         view.input_nodes().len(),
         d.feat_dim(),
@@ -238,9 +247,23 @@ fn seed_block_is_bitwise_equal_to_full_rows_serial() {
 }
 
 #[test]
+fn saint_batches_are_bitwise_equal_to_full_rows_serial() {
+    // Random-walk subgraphs reach unevenly far from their roots, so the
+    // hop sets of the pruned layers differ in shape from ShaDow's.
+    let d = dataset();
+    for kind in [GnnKind::Gcn, GnnKind::Sage] {
+        for depth in [2, 3] {
+            let m = model(&d, kind, depth, DispatchPolicy::default());
+            let (batch, view_logits) = sampled_batch(&d, &m, &SaintRwSampler::new(2, depth));
+            check(&d, m, &batch, Some(view_logits), None, None);
+        }
+    }
+}
+
+#[test]
 fn seed_block_is_bitwise_equal_on_the_renormalizing_path() {
     // A batch sampled without fused normalization takes the model's
-    // renormalization fallback; its seed block must pin the same way.
+    // renormalization fallback; its pruned layers must pin the same way.
     let d = dataset();
     let seeds: Vec<u32> = d.train_nodes.iter().copied().take(40).collect();
     for kind in [GnnKind::Gcn, GnnKind::Sage] {
@@ -262,7 +285,7 @@ fn seed_block_is_bitwise_equal_on_the_renormalizing_path() {
 fn seed_block_matches_full_rows_on_a_two_worker_pool() {
     let d = dataset();
     let pool = ThreadPool::new("seed-block", 2);
-    // Threshold 1 puts every kernel on the pool, seed block included.
+    // Threshold 1 puts every kernel on the pool, pruned layers included.
     let dispatch = DispatchPolicy::new(1).with_sparse_work_threshold(1);
     for kind in [GnnKind::Gcn, GnnKind::Sage] {
         for depth in [2, 3] {
@@ -276,7 +299,7 @@ fn seed_block_matches_full_rows_on_a_two_worker_pool() {
 #[test]
 fn non_prefix_seeds_match_full_rows() {
     // The full-graph batch keeps every node at its own position, so its
-    // seeds are scattered: the seed block's rows and SAGE's self rows come
+    // seeds are scattered: the last layer's rows and SAGE's self rows come
     // from `seed_positions`, not from a prefix.
     let d = FLICKR.synthesize(0.005, 2);
     let batch = full_graph_batch(&d.graph, &d.train_nodes);
